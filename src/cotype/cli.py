@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import CotypeError, DomainError, ResourceLimitError
+from .errors import CapExceededError, CotypeError, DomainError, ResourceLimitError
 from .groups import (
     AbelianPGroupType,
     aut_order,
@@ -31,6 +31,7 @@ from .lattices import (
     tally_cotypes,
     tally_cotypes_at_index,
 )
+from .primes import require_prime
 from .qcomb import (
     DEFAULT_PERMUTATION_CAP,
     all_descent_sets,
@@ -173,12 +174,16 @@ def _suite_qident(args) -> list[CaseResult]:
 
 
 def _suite_descent(args) -> list[CaseResult]:
+    if args.d > DEFAULT_PERMUTATION_CAP:
+        # Refuse before the smaller d spend factorial time.
+        raise CapExceededError(f"verify descent enumerates d! permutations; "
+                               f"cap is d <= {DEFAULT_PERMUTATION_CAP}")
     out = []
     for d in range(1, args.d + 1):
         total_at_one = 0
         for lam in all_descent_sets(d):
             a = descent_poly_inclusion_exclusion(lam)
-            b = descent_poly_permutations(lam, cap=max(args.d, DEFAULT_PERMUTATION_CAP))
+            b = descent_poly_permutations(lam, cap=DEFAULT_PERMUTATION_CAP)
             c = descent_poly_determinant(lam)
             name = f"w(d={d}, lambda={set(lam.elements) or '{}'})"
             if not (a == b == c):
@@ -203,7 +208,7 @@ def _suite_descent(args) -> list[CaseResult]:
 
 def _suite_oracle(args) -> list[CaseResult]:
     out = []
-    d, p = args.d, args.p
+    d, p = args.d, require_prime(args.p)
     for e in range(args.emax + 1):
         counts = tally_cotypes_at_index(d, p**e)
         for parts in partitions_of(e, max_parts=d):
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     try:
         code, output = args.handler(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, CapExceededError) as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except (DomainError, CotypeError, ValueError) as exc:

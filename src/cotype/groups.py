@@ -23,7 +23,7 @@ from .errors import (
     RankExceedsDimensionError,
     ResourceLimitError,
 )
-from .primes import is_prime
+from .primes import require_prime
 from .qcomb import q_binomial
 
 # Truncation depth of the infinite products prod_{i>=1}(1 - p^-i).
@@ -104,8 +104,7 @@ class AbelianPGroupType:
     lam: Partition
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        require_prime(self.p)
         if not isinstance(self.lam, Partition):
             object.__setattr__(self, "lam", Partition.of(self.lam))
 

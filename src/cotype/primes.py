@@ -1,6 +1,12 @@
-"""Prime sieving helpers."""
+"""Prime sieving helpers and the prime check shared by every entry point."""
 
 from functools import lru_cache
+from itertools import compress
+
+from .errors import DomainError
+
+# Miller-Rabin bases that decide primality exactly below 3.3 * 10^24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=8)
@@ -14,17 +20,29 @@ def primes_upto(n: int) -> tuple[int, ...]:
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return tuple(i for i, v in enumerate(sieve) if v)
+    return tuple(compress(range(n + 1), sieve))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin on fixed bases; a strong probable-prime test past 3.3 * 10^24."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
+
+
+def require_prime(p: int, name: str = "p") -> int:
+    """p itself if it is prime; DomainError otherwise."""
+    if not is_prime(p):
+        raise DomainError(f"{name} must be prime, got {p}")
+    return p

@@ -101,11 +101,11 @@ class IntPolynomial:
         if not self.coeffs or not other.coeffs:
             return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
+                for j, b in terms:
+                    out[i + j] += a * b
         return IntPolynomial(out)
 
     __rmul__ = __mul__

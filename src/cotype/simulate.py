@@ -34,6 +34,7 @@ from .lattices import (
     _smith_diagonal,
     tally_cotypes,
 )
+from .primes import require_prime
 from .zeta import dirichlet_coefficients_upto
 
 FREE_LABEL = "free part"
@@ -69,6 +70,7 @@ class SampleConfig:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("d must be positive")
+        require_prime(self.p)
         if self.trials < 1 and not self.exhaustive:
             raise DomainError("trials must be >= 1")
         if (self.entry_bound is None) == (self.index_bound is None):

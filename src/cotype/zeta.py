@@ -5,8 +5,14 @@ The local factor of the cotype zeta function of Z^d at a prime p is the rational
 function  sum_lambda w(d,lambda)(p^-1) prod_{j in lambda} t_j  over
 (1-t_1)...(1-t_d),  in the variables t_j = p^(-z_j) with
 z_j = s_1 + ... + s_j - j(d-j). Everything identity-shaped is evaluated in exact
-rational arithmetic; Euler products over primes are accumulated at 113-bit
-precision with explicit tail bounds.
+rational arithmetic.
+
+The four Euler products share one engine, fed each local factor as an exact
+ratio of polynomials in q = 1/p. It multiplies the primes p <= 128 at 113-bit
+precision from their exact local values, and the primes in (128, cutoff] as
+exp(sum_k c_k S_k): c_k are the exact coefficients of log(local factor), and
+S_k = sum_p p^-k are 160-bit fixed-point sums. value is the truncated product;
+tail_bound covers the missing primes and the engine's numeric error.
 """
 
 from __future__ import annotations
@@ -14,28 +20,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from mpmath import mp, mpf
 
 from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
 from .groups import Partition, ambient_subgroup_count, partitions_of
-from .primes import primes_upto
+from .primes import primes_upto, require_prime
 from .qcomb import (
     IntPolynomial,
     ONE,
     ZERO,
     all_descent_sets,
     descent_poly_inclusion_exclusion,
+    one_minus_q_pow,
     q_binomial,
 )
 
 # The numerator of the local factor has 2^(d-1) terms.
 DEFAULT_LOCAL_FACTOR_CAP = 12
-# Working precision (bits) for Euler-product accumulation.
+# Euler products: working precision in bits; the primes multiplied directly
+# (up to a power of two, P0); fixed-point bits of the power sums of p^-k (47
+# guard bits); the log-series order K, past which p^-k < 2^-_FIXED_BITS for
+# every p > P0, so that every fixed-point power sum past K is exactly 0.
 _EULER_PREC = 113
-# Negligible-term threshold matching that precision.
-_EPS_SHIFT = 130
+_DIRECT_UPTO = 2**7
+_FIXED_BITS = _EULER_PREC + 47
+_LOG_TERMS = _FIXED_BITS // (_DIRECT_UPTO.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,7 @@ def local_coefficient(d: int, p: int, nu) -> int:
     Evaluated by the conjugate-exponent product formula (equivalently: the number
     of subgroups of (Z/p^nu_1)^d isomorphic to the group of type nu).
     """
+    require_prime(p)
     nu = _validate_exponents(d, nu)
     return ambient_subgroup_count(d, Partition.of(nu), p)
 
@@ -118,6 +130,7 @@ def series_coefficient(d: int, p: int, nu) -> int:
     coefficient of the monomial determined by nu into a sum of descent
     polynomials, evaluated exactly at q = 1/p and rescaled by the change of
     variables t_j = p^(-z_j)."""
+    require_prime(p)
     nu = _validate_exponents(d, nu)
     lf = local_factor(d)
     steps = [nu[j] - (nu[j + 1] if j + 1 < d else 0) for j in range(d)]
@@ -184,6 +197,60 @@ def dirichlet_coefficients_upto(d: int, N: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Local factors of the Euler products, as exact ratios num(q) / den(q), q = 1/p
+# ---------------------------------------------------------------------------
+
+_Ratio = tuple[IntPolynomial, IntPolynomial]
+
+
+@lru_cache(maxsize=None)
+def _pochhammer(lo: int, hi: int) -> IntPolynomial:
+    """prod_{j=lo}^{hi} (1 - q^j); 1 when hi < lo."""
+    out = ONE
+    for j in range(lo, hi + 1):
+        out = out * one_minus_q_pow(j)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _durfee_sum(d: int, m: int) -> IntPolynomial:
+    """sum_{i=0}^{m} [d choose i]_q q^(i^2) prod_{j=i+1}^{m} (1-q^j), by Horner."""
+    if not 1 <= m <= d:
+        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
+    acc = ZERO
+    for i in range(m + 1):
+        acc = acc * one_minus_q_pow(i) + q_binomial(d, i).shifted(i * i)
+    return acc
+
+
+def _residue_factor(d: int, m: int) -> _Ratio:
+    """(1-q) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j), over the
+    denominator prod_{j<=m} (1-q^j), with 1-q cancelled."""
+    return _durfee_sum(d, m), _pochhammer(2, m)
+
+
+def _density_factor(d: int, m: int) -> _Ratio:
+    """prod_{j<=d} (1-q^j) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j)."""
+    return _durfee_sum(d, m) * _pochhammer(m + 1, d), ONE
+
+
+def _cocyclic_factor(d: int) -> _Ratio:
+    """1 + q^2 (1 - q^(d-1)) / (1 - q)."""
+    return one_minus_q_pow(1) + one_minus_q_pow(d - 1).shifted(2), one_minus_q_pow(1)
+
+
+def _squarefree_factor(inner_truncation: int) -> _Ratio:
+    return _pochhammer(2, inner_truncation), ONE
+
+
+def _ratio_at(factor: _Ratio, p: int) -> Fraction:
+    """Exact num(1/p) / den(1/p); Horner's rule at p over the ascending
+    coefficients of f gives p^deg(f) f(1/p)."""
+    num, den = (reduce(lambda acc, c: acc * p + c, f.coeffs, 0) for f in factor)
+    return Fraction(num * p ** factor[1].degree, den * p ** factor[0].degree)
+
+
+# ---------------------------------------------------------------------------
 # Corank densities and residues (exact local values)
 # ---------------------------------------------------------------------------
 
@@ -192,26 +259,9 @@ def corank_local_factor_at_pole(d: int, m: int, p: int) -> Fraction:
     """Exact p-local value of the corank-<=m counting residue at its pole:
 
     (1 - p^-1) * sum_{i=0}^{m} [d choose i]_q q^(i^2) / prod_{j=1}^{i} (1-q^j)
-    with q = 1/p.
+    with q = 1/p; the local factor of corank_zeta_residue.
     """
-    if not 1 <= m <= d:
-        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    q = Fraction(1, p)
-    total = Fraction(0)
-    poch = Fraction(1)
-    for i in range(m + 1):
-        if i:
-            poch *= 1 - q**i
-        total += Fraction(q_binomial(d, i)(q)) * q ** (i * i) / poch
-    return (1 - q) * total
-
-
-def _unit_pochhammer(p: int, n: int) -> Fraction:
-    """prod_{j=1}^{n} (1 - p^-j); empty product for n <= 0."""
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= 1 - Fraction(1, p**j)
-    return out
+    return _ratio_at(_residue_factor(d, m), p)
 
 
 def cokernel_rank_density_local(d: int, p: int, m: int) -> Fraction:
@@ -222,30 +272,16 @@ def cokernel_rank_density_local(d: int, p: int, m: int) -> Fraction:
     """
     if not 0 <= m <= d:
         raise DomainError(f"need 0 <= m <= d, got m={m}, d={d}")
-    ad = _unit_pochhammer(p, d)
-    total = Fraction(0)
-    for i in range(m + 1):
-        total += (
-            Fraction(1, p ** (i * i))
-            * ad
-            / (_unit_pochhammer(p, i) ** 2 * _unit_pochhammer(p, d - i))
-        )
-    return ad * total
+    A = [_ratio_at((_pochhammer(1, n), ONE), p) for n in range(d + 1)]
+    return A[d] * sum(Fraction(1, p ** (i * i)) * A[d] / (A[i] ** 2 * A[d - i])
+                      for i in range(m + 1))
 
 
 def corank_density_local(d: int, m: int, p: int) -> Fraction:
     """Exact p-factor of the corank-<=m density:
-    prod_{j=1}^{d}(1-p^-j) * sum_{i=0}^{m} [d choose i]_q q^(i^2)/prod(1-q^j)."""
-    if not 1 <= m <= d:
-        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    q = Fraction(1, p)
-    total = Fraction(0)
-    poch = Fraction(1)
-    for i in range(m + 1):
-        if i:
-            poch *= 1 - q**i
-        total += Fraction(q_binomial(d, i)(q)) * q ** (i * i) / poch
-    return _unit_pochhammer(p, d) * total
+    prod_{j=1}^{d}(1-p^-j) * sum_{i=0}^{m} [d choose i]_q q^(i^2)/prod(1-q^j);
+    the local factor of corank_density."""
+    return _ratio_at(_density_factor(d, m), p)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +291,14 @@ def corank_density_local(d: int, m: int, p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EulerProductValue:
-    """A truncated product over primes p <= prime_cutoff.
+    """A truncated product over primes p <= prime_cutoff, rounded to float.
 
     The interval [value - tail_bound, value + tail_bound] contains the full
-    infinite product; the bound comes from a per-formula constant C and exponent
-    e with |local(p) - 1| <= C p^-e for all p, so the missing log mass is at most
-    2 C cutoff^(1-e) / (e-1).
+    infinite product. In log space, the bound adds: the missing primes, at most
+    2 C cutoff^(1-e) / (e-1) from a per-formula C and e with |log local(p)| <=
+    C p^-e for p > cutoff; any truncation of the local factor itself; and the
+    engine's numeric error (log series cut after 22 terms, fixed-point floors,
+    113-bit roundings, rounding to float).
     """
 
     value: float
@@ -278,86 +316,98 @@ class EulerProductValue:
         return out
 
 
-def _euler_product(local_fn, cutoff: int, tail_c: float, tail_e: int,
+def _log_series(f: IntPolynomial) -> list[int]:
+    """b_k = k [q^k] log f for k <= _LOG_TERMS by Newton's identities; they are
+    integers as f(0) = 1."""
+    if f(0) != 1:
+        raise ArithmeticError(f"local factor polynomial {f} is not 1 at q = 0")
+    a = list(f.coeffs[: _LOG_TERMS + 1]) + [0] * _LOG_TERMS
+    b = [0] * (_LOG_TERMS + 1)
+    for k in range(1, _LOG_TERMS + 1):
+        b[k] = k * a[k] - sum(a[j] * b[k - j] for j in range(1, k))
+    return b
+
+
+def _reciprocal_root_bound(f: IntPolynomial) -> float:
+    """Fujiwara's bound on |rho| over f(q) = prod (1 - rho q), rounded up:
+    2 max |a_i|^(1/i), with a_n / 2 in place of the top coefficient a_n."""
+    n = f.degree
+    return 2.0 * (1 + 1e-12) * max(
+        (math.exp((math.log(abs(c)) - (i == n) * math.log(2)) / i)
+         for i, c in enumerate(f.coeffs) if i and c), default=0.0)
+
+
+@lru_cache(maxsize=8)
+def _power_sums(cutoff: int) -> tuple[int, tuple[int, ...]]:
+    """(N, S) over the N primes p in (_DIRECT_UPTO, cutoff]: S[k] is the sum of
+    floor(2^_FIXED_BITS / p^k), each floor low by less than 1; past _LOG_TERMS
+    every floor is 0."""
+    ps = [p for p in primes_upto(cutoff) if p > _DIRECT_UPTO]
+    sums = [0] * (_LOG_TERMS + 1)
+    xs = [1 << _FIXED_BITS] * len(ps)
+    for k in range(1, _LOG_TERMS + 1):
+        xs = [x // p for x, p in zip(xs, ps)]  # floor(floor(a/b)/c) = floor(a/(bc))
+        while xs and not xs[-1]:  # xs falls as p grows: its zeros are a suffix
+            xs.pop()
+        sums[k] = sum(xs)
+    return len(ps), tuple(sums)
+
+
+def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
                    extra_log_tail: float = 0.0) -> EulerProductValue:
+    """prod_{p <= cutoff} num(1/p) / den(1/p): the primes p <= _DIRECT_UPTO
+    directly, the rest as exp(sum_k c_k S_k), where log(num/den) = sum_k c_k q^k
+    exactly and S_k = sum_p p^-k."""
     if cutoff < 2:
         raise DomainError("prime cutoff must be at least 2")
+    num, den = factor
+    primes = primes_upto(cutoff)
+    n_series, sums = _power_sums(cutoff)
+    n_direct = len(primes) - n_series
+    b = [x - y for x, y in zip(_log_series(num), _log_series(den))]
+    log_sum = sum(Fraction(b[k] * sums[k], k) for k in range(1, _LOG_TERMS + 1))
+    log_sum /= 1 << _FIXED_BITS
     with mp.workprec(_EULER_PREC):
         acc = mpf(1)
-        for p in primes_upto(cutoff):
-            acc *= local_fn(p)
-        value = float(acc)
-    log_tail = 2.0 * tail_c * cutoff ** (1 - tail_e) / (tail_e - 1) + extra_log_tail
+        for p in primes[:n_direct]:
+            v = _ratio_at(factor, p)
+            acc *= mpf(v.numerator) / v.denominator
+        value = float(acc * mp.exp(mpf(log_sum.numerator) / log_sum.denominator))
+
+    # Numeric error in log space. |b_k| <= deg(f) R^k for each f with R its root
+    # bound, and S_k <= P0^(1-k) / (k-1), so the log series past K adds at most
+    # n P0 r^(K+1) / (K (K+1) (1-r)) with r = R / P0 and n = deg num + deg den.
+    K, r = _LOG_TERMS, max(map(_reciprocal_root_bound, factor)) / _DIRECT_UPTO
+    if r >= 0.5:
+        raise ArithmeticError("the log series of this local factor converges too slowly")
+    truncation = (num.degree + den.degree) * _DIRECT_UPTO * r ** (K + 1) / (
+        K * (K + 1) * (1 - r)) if n_series else 0.0
+    floors = n_series * sum(abs(b[k]) / k for k in range(1, K + 1)) * 2.0**-_FIXED_BITS
+    # three 113-bit roundings per direct prime, a few around exp, then to float
+    rounding = (3 * n_direct + 4 + abs(float(log_sum))) * 2.0 ** (1 - _EULER_PREC) + 2.0**-53
+    log_tail = (2.0 * tail_c * cutoff ** (1 - tail_e) / (tail_e - 1) + extra_log_tail
+                + truncation + floors + rounding)
     return EulerProductValue(value, cutoff, abs(value) * math.expm1(log_tail))
-
-
-def _mpf_pochhammer(q: mpf, n: int, eps: mpf) -> mpf:
-    """prod_{j=1}^{n} (1 - q^j), dropping factors once q^j is below eps."""
-    acc = mpf(1)
-    term = q
-    for _ in range(n):
-        acc *= 1 - term
-        term *= q
-        if term < eps:
-            break
-    return acc
-
-
-def _mpf_qbinom(d: int, i: int, q: mpf) -> mpf:
-    """Gaussian binomial [d choose i] at 0 < q < 1."""
-    num = mpf(1)
-    den = mpf(1)
-    for j in range(1, i + 1):
-        num *= 1 - q ** (d - i + j)
-        den *= 1 - q**j
-    return num / den
-
-
-def _corank_sum(d: int, m: int, q: mpf, eps: mpf) -> mpf:
-    total = mpf(1)
-    poch = mpf(1)
-    for i in range(1, m + 1):
-        qi2 = q ** (i * i)
-        if qi2 < eps:
-            break
-        poch *= 1 - q**i
-        total += _mpf_qbinom(d, i, q) * qi2 / poch
-    return total
 
 
 def corank_zeta_residue(d: int, m: int, prime_cutoff: int) -> EulerProductValue:
     """Residue of the Dirichlet series counting corank-<=m sublattices at its
     rightmost pole s = d, as a truncated Euler product.
 
-    Tail constant: each local factor is 1 + c_p with 0 <= c_p <= 6 p^-2
-    (c_p = q^2(1-q^(d-1))/(1-q) + higher Durfee-square terms, q = 1/p).
+    Tail constant: |log local(p)| <= 6 p^-2; the local factor is 1 + c_p with
+    c_p = q^2(1-q^(d-1))/(1-q) + higher Durfee-square terms, q = 1/p.
     """
-    if not 1 <= m <= d:
-        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    eps = mpf(2) ** (-_EPS_SHIFT)
-
-    def local(p: int) -> mpf:
-        q = mpf(1) / p
-        return (1 - q) * _corank_sum(d, m, q, eps)
-
-    return _euler_product(local, prime_cutoff, tail_c=6.0, tail_e=2)
+    return _euler_product(_residue_factor(d, m), prime_cutoff, tail_c=6.0, tail_e=2)
 
 
 def corank_density(d: int, m: int, prime_cutoff: int) -> EulerProductValue:
     """Limiting proportion of sublattices of Z^d with corank at most m.
 
-    Tail constant: |local(p) - 1| <= 15 p^(-(m+1)^2), since the defect is the
+    Tail constant: |log local(p)| <= 15 p^(-(m+1)^2), since 1 - local(p) is the
     p-local probability of corank exceeding m.
     """
-    if not 1 <= m <= d:
-        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    eps = mpf(2) ** (-_EPS_SHIFT)
-
-    def local(p: int) -> mpf:
-        q = mpf(1) / p
-        return _mpf_pochhammer(q, d, eps) * _corank_sum(d, m, q, eps)
-
-    return _euler_product(local, prime_cutoff, tail_c=15.0, tail_e=(m + 1) ** 2)
+    return _euler_product(_density_factor(d, m), prime_cutoff,
+                          tail_c=15.0, tail_e=(m + 1) ** 2)
 
 
 def cocyclic_growth_constant(d: int, prime_cutoff: int) -> EulerProductValue:
@@ -365,15 +415,11 @@ def cocyclic_growth_constant(d: int, prime_cutoff: int) -> EulerProductValue:
 
     prod_p (1 + (p^(d-1) - 1) / (p^(d+1) - p^d)).
 
-    Tail constant: 0 <= c_p <= 1/(p(p-1)) <= 2 p^-2.
+    Tail constant: |log local(p)| <= 1/(p(p-1)) <= 2 p^-2.
     """
     if d < 2:
         raise DomainError("the cocyclic growth constant needs d >= 2")
-
-    def local(p: int) -> mpf:
-        return 1 + mpf(p ** (d - 1) - 1) / (p ** (d + 1) - p**d)
-
-    return _euler_product(local, prime_cutoff, tail_c=2.0, tail_e=2)
+    return _euler_product(_cocyclic_factor(d), prime_cutoff, tail_c=2.0, tail_e=2)
 
 
 def squarefree_index_density(
@@ -382,22 +428,10 @@ def squarefree_index_density(
     """Limiting probability (large d) that a random sublattice has squarefree
     index: prod_p prod_{j=2}^inf (1 - p^-j).
 
-    Tail constant: |local(p) - 1| <= 2 p^-2. The inner products are truncated at
-    j = inner_truncation, which adds at most 4 * 2^-(B+1) to the log tail.
+    Tail constant: |log local(p)| <= 2 p^-2 for p >= 3. The inner products are
+    truncated at j = inner_truncation, which adds at most 4 * 2^-(B+1) to the
+    log tail.
     """
-    eps = mpf(2) ** (-_EPS_SHIFT)
-
-    def local(p: int) -> mpf:
-        q = mpf(1) / p
-        acc = mpf(1)
-        term = q * q
-        for _ in range(2, inner_truncation + 1):
-            acc *= 1 - term
-            term *= q
-            if term < eps:
-                break
-        return acc
-
     inner_tail = 4.0 * 2.0 ** (-(inner_truncation + 1))
-    return _euler_product(local, prime_cutoff, tail_c=2.0, tail_e=2,
-                          extra_log_tail=inner_tail)
+    return _euler_product(_squarefree_factor(inner_truncation), prime_cutoff,
+                          tail_c=2.0, tail_e=2, extra_log_tail=inner_tail)

@@ -3,6 +3,10 @@
 import itertools
 from math import gcd, prod
 
+from mpmath import mp, mpf
+
+from cotype.primes import primes_upto
+
 
 def det_by_permutations(rows) -> int:
     """Leibniz-expansion determinant (fine for k <= 4)."""
@@ -62,3 +66,90 @@ def rank_mod_p(rows, p: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Direct per-prime Euler products: the oracle for the zeta product engine
+# ---------------------------------------------------------------------------
+
+_EPS = mpf(2) ** -130
+
+
+def _mpf_pochhammer(q, n: int):
+    """prod_{j=1}^{n} (1 - q^j), dropping factors once q^j is below _EPS."""
+    acc = mpf(1)
+    term = q
+    for _ in range(n):
+        acc *= 1 - term
+        term *= q
+        if term < _EPS:
+            break
+    return acc
+
+
+def _mpf_qbinom(d: int, i: int, q):
+    """Gaussian binomial [d choose i] at 0 < q < 1."""
+    num = mpf(1)
+    den = mpf(1)
+    for j in range(1, i + 1):
+        num *= 1 - q ** (d - i + j)
+        den *= 1 - q**j
+    return num / den
+
+
+def _corank_sum(d: int, m: int, q):
+    total = mpf(1)
+    poch = mpf(1)
+    for i in range(1, m + 1):
+        qi2 = q ** (i * i)
+        if qi2 < _EPS:
+            break
+        poch *= 1 - q**i
+        total += _mpf_qbinom(d, i, q) * qi2 / poch
+    return total
+
+
+def _density_local(p: int, d: int, m: int):
+    q = mpf(1) / p
+    return _mpf_pochhammer(q, d) * _corank_sum(d, m, q)
+
+
+def _residue_local(p: int, d: int, m: int):
+    q = mpf(1) / p
+    return (1 - q) * _corank_sum(d, m, q)
+
+
+def _cocyclic_local(p: int, d: int, m: int):
+    return 1 + mpf(p ** (d - 1) - 1) / (p ** (d + 1) - p**d)
+
+
+def _squarefree_local(p: int, d: int, inner_truncation: int):
+    q = mpf(1) / p
+    acc = mpf(1)
+    term = q * q
+    for _ in range(2, inner_truncation + 1):
+        acc *= 1 - term
+        term *= q
+        if term < _EPS:
+            break
+    return acc
+
+
+MPF_LOCAL_FACTORS = {
+    "corank_density": _density_local,
+    "corank_zeta_residue": _residue_local,
+    "cocyclic_growth_constant": _cocyclic_local,
+    "squarefree_index_density": _squarefree_local,
+}
+
+
+def euler_product_oracle(kind: str, cutoff: int, d: int = 0, m: int = 0,
+                         prec: int = 113):
+    """prod_{p <= cutoff} local(p) as an mpf, one multiplication per prime at
+    prec bits. For the squarefree density, m is the inner truncation."""
+    local = MPF_LOCAL_FACTORS[kind]
+    with mp.workprec(prec):
+        acc = mpf(1)
+        for p in primes_upto(cutoff):
+            acc *= local(p, d, m)
+        return acc

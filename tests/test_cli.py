@@ -10,11 +10,12 @@ import pytest
 from cotype import cli
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "cotype.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -104,6 +105,24 @@ class TestVerify:
         doc = json.loads(captured.out)
         assert not doc["ok"]
         assert doc["failures"][0]["case"] == "rigged-case q=1"
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("args", [
+        ("zeta", "-d", "2", "coeff", "-p", "4", "--nu", "1,0"),
+        ("verify", "oracle", "--p", "4"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "1", "-n", "10"),
+    ])
+    def test_non_prime_p_exits_1(self, args):
+        proc = run_cli(*args, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "must be prime" in proc.stderr
+        assert "COUNTEREXAMPLE" not in proc.stderr
+
+    def test_descent_cap_exits_2_promptly(self):
+        proc = run_cli("verify", "descent", "--d", "10", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
 
 
 class TestZeta:

@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, zeta as mp_zeta
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf, zeta as mp_zeta
 
 from cotype import lattices as lat
 from cotype import zeta as zt
 from cotype.errors import CapExceededError, DomainError, NotWeaklyDecreasingError
+from cotype.primes import primes_upto
 from cotype.qcomb import ONE, Q, q_binomial
+from helpers import euler_product_oracle
 
 
 class TestLocalFactor:
@@ -250,3 +253,128 @@ class TestEulerProducts:
             zt.corank_density(2, 0, 100)
         with pytest.raises(DomainError):
             zt.corank_zeta_residue(2, 3, 100)
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def corank_args(draw):
+    d = draw(st.integers(1, 30))
+    m = draw(st.integers(1, min(d, 4)))
+    return d, m, draw(st.integers(2, 5000))
+
+
+class TestEngineAgainstDirectProduct:
+    """The engine's float equals the direct per-prime 113-bit product's."""
+
+    @PROPERTY
+    @given(corank_args())
+    def test_corank_density(self, args):
+        d, m, cutoff = args
+        expected = float(euler_product_oracle("corank_density", cutoff, d, m))
+        assert zt.corank_density(d, m, cutoff).value == expected
+
+    @PROPERTY
+    @given(corank_args())
+    def test_corank_zeta_residue(self, args):
+        d, m, cutoff = args
+        expected = float(euler_product_oracle("corank_zeta_residue", cutoff, d, m))
+        assert zt.corank_zeta_residue(d, m, cutoff).value == expected
+
+    @PROPERTY
+    @given(st.integers(2, 30), st.integers(2, 5000))
+    def test_cocyclic_growth_constant(self, d, cutoff):
+        expected = float(euler_product_oracle("cocyclic_growth_constant", cutoff, d))
+        assert zt.cocyclic_growth_constant(d, cutoff).value == expected
+
+    @PROPERTY
+    @given(st.integers(2, 5000), st.integers(2, 64))
+    def test_squarefree_index_density(self, cutoff, inner):
+        expected = float(euler_product_oracle("squarefree_index_density", cutoff, m=inner))
+        assert zt.squarefree_index_density(cutoff, inner).value == expected
+
+    def test_products_of_the_exact_local_values(self):
+        # below 128 every prime is multiplied directly from its exact value
+        for d in (1, 2, 5, 30):
+            for m in range(1, min(d, 4) + 1):
+                density = residue = Fraction(1)
+                for p in primes_upto(127):
+                    density *= zt.corank_density_local(d, m, p)
+                    residue *= zt.corank_local_factor_at_pole(d, m, p)
+                assert zt.corank_density(d, m, 127).value == float(density)
+                assert zt.corank_zeta_residue(d, m, 127).value == float(residue)
+
+
+def _log_coefficients(num, den, terms: int) -> list[Fraction]:
+    """[q^k] log(num/den) for k = 0..terms, from f'/f = (log f)'."""
+    def log_series(f):
+        a = list(f.coeffs[: terms + 1]) + [0] * (terms + 1)
+        c = [Fraction(0)] * (terms + 1)
+        for k in range(1, terms + 1):
+            c[k] = a[k] - sum(a[j] * (k - j) * c[k - j] for j in range(1, k)) / k
+        return c
+
+    return [x - y for x, y in zip(log_series(num), log_series(den))]
+
+
+def _tail_cases():
+    """(name, local factor, C, e, smallest prime the bound must cover)."""
+    for d in range(1, 31):
+        for m in sorted({*range(1, min(d, 4) + 1), d}):
+            yield f"residue d={d} m={m}", zt._residue_factor(d, m), 6, 2, 2
+            if m < d:  # at m = d the density factor is exactly 1
+                yield f"density d={d} m={m}", zt._density_factor(d, m), 15, (m + 1) ** 2, 2
+        if d >= 2:
+            yield f"cocyclic d={d}", zt._cocyclic_factor(d), 2, 2, 2
+    # cutoff >= 2, so the squarefree tail starts at p = 3: at p = 2, |log| = 0.549
+    yield "squarefree", zt._squarefree_factor(64), 2, 2, 3
+
+
+class TestTailConstants:
+    SWITCH = 11  # primes from here on are covered by the log-series majorant
+
+    def test_density_full_rank_factor_is_one(self):
+        for d in range(1, 31):
+            assert zt._density_factor(d, d) == (ONE, ONE)
+
+    def test_log_local_bounded_by_c_p_to_minus_e(self):
+        """|log local(p)| <= C p^-e for d <= 30 and every prime p (so for all
+        primes up to 10^4). Below SWITCH from the exact local value; from SWITCH
+        on, M(q) = sum_k |c_k| q^k over the exact log series (k <= e + 60) plus
+        a root-bound tail majorizes |log local| and M(q) / q^e grows with q, so
+        M(1/SWITCH) <= C SWITCH^-e covers every p >= SWITCH."""
+        for name, (num, den), C, e, p_min in _tail_cases():
+            for p in primes_upto(self.SWITCH - 1):
+                if p >= p_min:
+                    v = zt._ratio_at((num, den), p)
+                    # |log v| <= |v - 1| / min(v, 1)
+                    assert abs(v - 1) / min(v, 1) <= Fraction(C, p**e), (name, p)
+            terms = e + 60
+            c = _log_coefficients(num, den, terms)
+            assert not any(c[:e]), name  # log local(p) = O(p^-e)
+            q = Fraction(1, self.SWITCH)
+            rq = Fraction(max(zt._reciprocal_root_bound(num),
+                              zt._reciprocal_root_bound(den))) * q
+            assert rq < 1, name
+            majorant = sum(abs(ck) * q**k for k, ck in enumerate(c))
+            majorant += (num.degree + den.degree) * rq ** (terms + 1) / ((terms + 1) * (1 - rq))
+            assert majorant <= C * q**e, name
+
+    def test_engine_uses_these_constants(self):
+        cutoff = 1000
+        for v, C, e in ((zt.corank_zeta_residue(5, 2, cutoff), 6, 2),
+                        (zt.corank_density(5, 1, cutoff), 15, 4),
+                        (zt.cocyclic_growth_constant(5, cutoff), 2, 2),
+                        (zt.squarefree_index_density(cutoff), 2, 2)):
+            missing = 2 * C * cutoff ** (1 - e) / (e - 1)
+            assert v.tail_bound >= v.value * math.expm1(missing)
+
+    def test_tail_bound_covers_numeric_error(self):
+        # the truncated product at 250 bits lies within tail_bound of value, even
+        # where the missing primes contribute almost nothing
+        for d, m, cutoff in ((8, 4, 3000), (30, 3, 1000), (3, 2, 100), (2, 2, 500)):
+            v = zt.corank_density(d, m, cutoff)
+            exact = euler_product_oracle("corank_density", cutoff, d, m, prec=250)
+            assert abs(mpf(v.value) - exact) <= v.tail_bound, (d, m, cutoff)
+            assert v.tail_bound >= v.value * 2.0**-53
