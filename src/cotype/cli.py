@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .groups import (
 )
 from .lattices import (
     DEFAULT_ENUM_CAP,
+    TALLY_METHODS,
     tally_cotypes,
     tally_cotypes_at_index,
 )
@@ -66,17 +66,6 @@ EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
 
-def _default_max_matrices() -> int:
-    """Default enumeration cap; COTYPE_MAX_MATRICES overrides it."""
-    raw = os.environ.get("COTYPE_MAX_MATRICES")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"COTYPE_MAX_MATRICES must be an integer, got {raw!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage problems exit with code 1 (2 is the resource code)."""
 
@@ -98,7 +87,6 @@ def _dump(obj) -> str:
 def _cmd_tally(args) -> tuple[int, str]:
     tally = tally_cotypes(args.d, args.X, method=args.method,
                           max_matrices=args.max_matrices)
-    doc = tally.to_json_dict()
     if args.out:
         if args.format == "csv":
             tally.write_csv(args.out)
@@ -109,10 +97,10 @@ def _cmd_tally(args) -> tuple[int, str]:
         "X": args.X,
         "bound": "index < X",
         "N": tally.total,
-        "N_by_corank": doc["n_by_corank"],
+        "N_by_corank": tally.n_by_corank(),
     }
     if not args.out and args.format == "json":
-        summary["rows"] = doc["rows"]
+        summary["rows"] = tally.json_rows()
     return EXIT_OK, _dump(summary)
 
 
@@ -389,8 +377,7 @@ def build_parser() -> _Parser:
                          help="strict upper bound on the index (counts index < X)")
     p_tally.add_argument("--format", choices=("json", "csv"), default="json")
     p_tally.add_argument("--out", default=None, help="write full rows to this path")
-    p_tally.add_argument("--method", choices=("auto", "divisor", "enumerate", "full"),
-                         default="auto")
+    p_tally.add_argument("--method", choices=TALLY_METHODS, default="auto")
     p_tally.add_argument("--max-matrices", type=int, default=DEFAULT_ENUM_CAP)
     p_tally.set_defaults(handler=_cmd_tally)
 

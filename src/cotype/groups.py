@@ -23,7 +23,7 @@ from .errors import (
     RankExceedsDimensionError,
     ResourceLimitError,
 )
-from .primes import require_prime
+from .primes import require_prime, valuation
 from .qcomb import q_binomial
 
 # Truncation depth of the infinite products prod_{i>=1}(1 - p^-i).
@@ -163,14 +163,19 @@ def _aut_order_closed(p: int, parts: tuple[int, ...]) -> int:
     return val.numerator
 
 
+def generating_tuple_count(d: int, p: int, parts: tuple[int, ...]) -> int:
+    """Number of tuples in (Z/p^(parts_1))^d generating a subgroup of type parts,
+    the j-th of order p^(parts_j): prod_j (p^(parts_j d) - p^j p^((parts_j - 1) d))."""
+    return math.prod(p ** (part * d) - p**j * p ** ((part - 1) * d)
+                     for j, part in enumerate(parts))
+
+
 def _aut_order_tuple_identity(p: int, parts: tuple[int, ...]) -> int:
     """Solve  |Aut| * #subgroups = #generating tuples  with ambient rank = rank."""
     r = len(parts)
     if r == 0:
         return 1
-    tuples = 1
-    for j, part in enumerate(parts):
-        tuples *= p ** (part * r) - p**j * p ** ((part - 1) * r)
+    tuples = generating_tuple_count(r, p, parts)
     subgroups = ambient_subgroup_count(r, Partition(parts), p)
     q, rem = divmod(tuples, subgroups)
     if rem:
@@ -185,11 +190,10 @@ class _SmallGroup:
         self.p = p
         self.parts = parts
         self.moduli = [p**a for a in parts]
-        self.n = math.prod(self.moduli) if parts else 1
+        self.n = math.prod(self.moduli)
         self.elements = list(itertools.product(*(range(m) for m in self.moduli)))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = self.index[tuple(0 for _ in parts)]
-        n = self.n
         self.add = [
             [
                 self.index[tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))]
@@ -197,18 +201,10 @@ class _SmallGroup:
             ]
             for x in self.elements
         ]
-        max_exp = parts[0] if parts else 0
-        self.order_exp = []
-        for x in self.elements:
-            e = 0
-            for c, a in zip(x, parts):
-                v = 0
-                while c and c % p == 0:
-                    c //= p
-                    v += 1
-                if c:
-                    e = max(e, a - v)
-            self.order_exp.append(e)
+        self.order_exp = [
+            max((a - valuation(c, p) for c, a in zip(x, parts) if c), default=0)
+            for x in self.elements
+        ]
         self._join_cache: dict[tuple[frozenset, int], frozenset] = {}
 
     def trivial_subgroup(self) -> frozenset:
@@ -257,11 +253,7 @@ class _SmallGroup:
         prev = 1
         for i in range(1, max_exp + 1):
             cur = sum(1 for x in sub if order_exp[x] <= i)
-            step, e = cur // prev, 0
-            while step > 1:
-                step //= self.p
-                e += 1
-            conj.append(e)
+            conj.append(valuation(cur // prev, self.p))
             prev = cur
         return conjugate(conj)
 

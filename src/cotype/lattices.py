@@ -1,10 +1,13 @@
-"""Ground-truth sublattice enumeration for Z^d.
+"""Sublattices of Z^d by cotype: the exact tally and its enumeration oracle.
 
-Finite-index sublattices are enumerated through their Hermite-basis matrices
-(upper triangular, column-style, off-diagonal entries reduced modulo the row's
-diagonal), classified by Smith invariant factors, and tallied by cotype. All
-arithmetic is exact. These routines are deliberately independent of the
-q-binomial machinery in `cotype.zeta`, so the two sides can check each other.
+The tally multiplies local tables: the number of index-n sublattices of each
+cotype is multiplicative in n, and its p-local factor is a subgroup count of
+(Z/p^nu_1)^d (`cotype.zeta._local_cotype_table`). The oracle enumerates the
+sublattices through their Hermite-basis matrices (upper triangular,
+column-style, off-diagonal entries reduced modulo the row's diagonal) and
+classifies each by its Smith invariant factors. Only the enumeration is
+independent of the q-binomial formulas, so it checks the formula side. All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -15,12 +18,22 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
+from .groups import generating_tuple_count
+from .primes import smallest_prime_factors, valuation
+from .zeta import _local_cotype_table
 
 # Cap on how many matrices an enumeration call may visit.
 DEFAULT_ENUM_CAP = 10**8
+# Caps of the formula tally: its local tables build q-binomial rows of length
+# d, and it holds one to three cotypes of d entries per index below X.
+MAX_TALLY_RANK = 64
+MAX_TALLY_SIZE = 3 * 10**5  # on d * X
+# Tally methods: the formula, and the two enumeration oracles.
+TALLY_METHODS = ("auto", "enumerate", "full")
 # Cap on brute-force generating-tuple searches (candidate tuples examined).
 DEFAULT_TUPLE_CAP = 2**22
 
@@ -95,16 +108,14 @@ class Cotype:
         return 0
 
     def p_part(self, p: int) -> tuple[int, ...]:
-        """Partition of p-adic valuations of the entries (zeros dropped)."""
-        vals = []
-        for a in self.alpha:
-            v = 0
-            while a % p == 0:
-                a //= p
-                v += 1
-            if v:
-                vals.append(v)
-        return tuple(vals)
+        """Type of the p-Sylow subgroup of Z^d/L."""
+        return p_part(self.alpha, p)
+
+
+def p_part(chain: Iterable[int], p: int) -> tuple[int, ...]:
+    """Partition of the p-adic valuations of a divisibility chain given largest
+    first (zeros dropped): the type of the p-Sylow subgroup of sum Z/a_i."""
+    return tuple([valuation(a, p) for a in chain if a % p == 0])
 
 
 @dataclass(frozen=True)
@@ -263,6 +274,7 @@ def enumerate_hnf(
     """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
+    _check_cap(max_matrices)
     total = hnf_count(d, n)
     if total > max_matrices:
         raise ResourceLimitError(
@@ -319,39 +331,6 @@ def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) 
             counts[key] = counts.get(key, 0) + mult
 
 
-def _tally_2d(X: int) -> dict[tuple[int, ...], int]:
-    """Exact cotype tally for Z^2 over all indices < X via divisor pairs.
-
-    For a basis [[a, b], [0, c]] the first invariant factor is gcd(a, b, c), so
-    with g = gcd(a, c) the number of b in [0, a) with gcd(g, b) = t is
-    (a/t) * phi(g/t) / (g/t). Runs in about X log X integer operations.
-    """
-    counts: dict[tuple[int, ...], int] = {}
-    if X <= 1:
-        return counts
-    # gcd(a, c) <= min(a, c) <= sqrt(ac) < sqrt(X): small phi/divisor tables do.
-    gmax = int((X - 1) ** 0.5) + 1
-    phi = list(range(gmax + 1))
-    for p in range(2, gmax + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, gmax + 1, p):
-                phi[k] -= phi[k] // p
-    for a in range(1, X):
-        for c in range(1, (X - 1) // a + 1):
-            n = a * c
-            g = gcd(a, c)
-            if g == 1:
-                key = (n, 1)
-                counts[key] = counts.get(key, 0) + a
-                continue
-            for t in _divisors(g):
-                u = g // t
-                cnt = (a // t) // u * phi[u]
-                key = (n // t, t)
-                counts[key] = counts.get(key, 0) + cnt
-    return counts
-
-
 @dataclass(frozen=True)
 class CotypeTally:
     """Cotype counts of all sublattices of Z^d of index < X (strict bound)."""
@@ -382,14 +361,22 @@ class CotypeTally:
             "X": self.X,
             "bound": "index < X",
             "total": self.total,
-            "n_by_corank": {
-                str(m): self.n_with_corank_at_most(m) for m in range(self.d + 1)
-            },
-            "rows": [
-                {"alpha": list(alpha), "corank": crk, "index": idx, "count": c}
-                for alpha, crk, idx, c in self.rows()
-            ],
+            "n_by_corank": self.n_by_corank(),
+            "rows": self.json_rows(),
         }
+
+    def n_by_corank(self) -> dict[str, int]:
+        """n_with_corank_at_most(m) for every m <= d, in one pass."""
+        at = [0] * (self.d + 1)
+        for ct, c in self.counts.items():
+            at[ct.corank] += c
+        return {str(m): n for m, n in enumerate(itertools.accumulate(at))}
+
+    def json_rows(self) -> list[dict]:
+        return [
+            {"alpha": list(alpha), "corank": crk, "index": idx, "count": c}
+            for alpha, crk, idx, c in self.rows()
+        ]
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -414,6 +401,37 @@ def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
+def _check_cap(max_matrices: int) -> None:
+    if max_matrices < 0:
+        raise DomainError(f"the matrix cap must be >= 0, got {max_matrices}")
+
+
+def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:
+    """Cotype counts of index < X as products of the local tables of the prime
+    powers of each index, factored by one smallest-prime-factor sieve."""
+    if d > MAX_TALLY_RANK or d * X > MAX_TALLY_SIZE:
+        raise ResourceLimitError(
+            f"formula tally at d = {d}, X = {X} exceeds the caps d <= {MAX_TALLY_RANK}"
+            f" and d * X <= {MAX_TALLY_SIZE}"
+        )
+    spf = smallest_prime_factors(X - 1)
+    counts: dict[tuple[int, ...], int] = {(1,) * d: 1} if X > 1 else {}
+    for n in range(2, X):
+        rows = None
+        while n > 1:
+            p = spf[n]
+            e = valuation(n, p)
+            n //= p**e
+            table = _local_cotype_table(d, p, e)
+            rows = table if rows is None else [
+                (tuple(map(mul, alpha, beta)), c * k)
+                for alpha, c in rows
+                for beta, k in table
+            ]
+        counts.update(rows)
+    return counts
+
+
 def tally_cotypes(
     d: int,
     X: int,
@@ -422,37 +440,39 @@ def tally_cotypes(
 ) -> CotypeTally:
     """Tally every sublattice of Z^d of index < X by cotype (exact).
 
-    method: 'divisor' (d=2 only; gcd/phi counting), 'enumerate' (per-matrix with
-    diagonal-1 contraction), 'full' (per-matrix, no contraction; cross-check
-    oracle), or 'auto' (divisor for d=2, enumerate otherwise).
+    method 'auto' multiplies the local cotype tables of each index's prime
+    powers (d <= MAX_TALLY_RANK, d * X <= MAX_TALLY_SIZE). The oracles,
+    independent of those formulas, Smith-reduce Hermite bases and visit at most
+    max_matrices matrices: 'enumerate' contracts rows with diagonal 1 away
+    first, 'full' does not.
     """
     if d < 1 or X < 1:
         raise DomainError("need d >= 1 and X >= 1")
-    if method == "auto":
-        method = "divisor" if d == 2 else "enumerate"
-    if method == "divisor" and d != 2:
-        raise DomainError("the divisor-counting tally only applies to d = 2")
-    if method not in ("divisor", "enumerate", "full"):
+    if method not in TALLY_METHODS:
         raise DomainError(f"unknown tally method {method!r}")
+    _check_cap(max_matrices)
 
-    if method != "divisor":
-        total = sum(hnf_count(d, n) for n in range(1, X))
+    if method == "auto":
+        raw = _tally_formula(d, X)
+    else:
+        # Every index has a sublattice: start from X - 1 and stop past the cap.
+        total, n = X - 1, 1
+        while total <= max_matrices and n < X:
+            total += hnf_count(d, n) - 1
+            n += 1
         if total > max_matrices:
             raise ResourceLimitError(
-                f"tally of {total} sublattices exceeds the cap of {max_matrices}"
+                f"tally of index < {X} visits more than {max_matrices} matrices, the cap"
             )
-
-    raw: dict[tuple[int, ...], int] = {}
-    if method == "divisor":
-        raw = _tally_2d(X)
-    elif method == "enumerate":
-        for n in range(1, X):
-            _tally_index_enumerated(d, n, raw)
-    else:
-        for n in range(1, X):
-            for basis in enumerate_hnf(d, n, max_matrices=max_matrices):
-                key = cotype_of(basis).alpha
-                raw[key] = raw.get(key, 0) + 1
+        raw = {}
+        if method == "enumerate":
+            for n in range(1, X):
+                _tally_index_enumerated(d, n, raw)
+        else:
+            for n in range(1, X):
+                for basis in enumerate_hnf(d, n, max_matrices=max_matrices):
+                    key = cotype_of(basis).alpha
+                    raw[key] = raw.get(key, 0) + 1
     counts = {Cotype(k): v for k, v in raw.items() if v}
     return CotypeTally(d=d, X=X, counts=counts)
 
@@ -460,14 +480,6 @@ def tally_cotypes(
 # ---------------------------------------------------------------------------
 # Generating tuples in (Z/p^a)^d
 # ---------------------------------------------------------------------------
-
-
-def _closed_form_tuple_count(d: int, p: int, lam: tuple[int, ...]) -> int:
-    """prod_{j=0}^{r-1} (p^(lam_{j+1} d) - p^j p^((lam_{j+1}-1) d))."""
-    out = 1
-    for j, part in enumerate(lam):
-        out *= p ** (part * d) - p**j * p ** ((part - 1) * d)
-    return out
 
 
 def count_generating_tuples(
@@ -495,9 +507,9 @@ def count_generating_tuples(
         try:
             return count_generating_tuples(d, p, lam, "brute", max_candidates)
         except ResourceLimitError:
-            return _closed_form_tuple_count(d, p, lam)
+            return generating_tuple_count(d, p, lam)
     if method == "closed":
-        return _closed_form_tuple_count(d, p, lam)
+        return generating_tuple_count(d, p, lam)
     if method != "brute":
         raise DomainError(f"unknown method {method!r}")
 
@@ -506,24 +518,14 @@ def count_generating_tuples(
     if mod**d > max_candidates:
         raise ResourceLimitError("ambient group too large for brute force")
 
-    elements = list(itertools.product(range(mod), repeat=d))
-
-    def order_exp(x: tuple[int, ...]) -> int:
-        # additive order of x is p^(a1 - min valuation)
-        best = a1
-        for c in x:
-            v = 0
-            while c and c % p == 0:
-                c //= p
-                v += 1
-            if c == 0:
-                v = a1
-            best = min(best, v)
-        return a1 - best
-
+    # additive order of x is p^(a1 - min valuation of its entries)
+    order_exp = {
+        x: a1 - min((valuation(c, p) for c in x if c), default=a1)
+        for x in itertools.product(range(mod), repeat=d)
+    }
     by_order: dict[int, list[tuple[int, ...]]] = {}
-    for x in elements:
-        by_order.setdefault(order_exp(x), []).append(x)
+    for x, e in order_exp.items():
+        by_order.setdefault(e, []).append(x)
 
     cand_lists = [by_order.get(a, []) for a in lam]
     work = prod(len(c) for c in cand_lists)
@@ -547,15 +549,8 @@ def count_generating_tuples(
                 sub.update(add(h, t) for h in base)
                 t = add(t, x)
         # element-order census -> conjugate partition -> type
-        sizes = [sum(1 for y in sub if order_exp(y) <= i) for i in range(a1 + 1)]
-        conj = []
-        for i in range(1, a1 + 1):
-            step = sizes[i] // sizes[i - 1]
-            e = 0
-            while step > 1:
-                step //= p
-                e += 1
-            conj.append(e)
+        sizes = [sum(1 for y in sub if order_exp[y] <= i) for i in range(a1 + 1)]
+        conj = [valuation(sizes[i] // sizes[i - 1], p) for i in range(1, a1 + 1)]
         typ = tuple(
             sorted((sum(1 for c in conj if c >= i) for i in range(1, max(conj) + 1)),
                    reverse=True)

@@ -1,7 +1,9 @@
-"""Prime sieving helpers and the prime check shared by every entry point."""
+"""Prime sieving helpers, p-adic valuation and the prime check shared by every
+entry point."""
 
 from functools import lru_cache
 from itertools import compress
+from math import isqrt
 
 from .errors import DomainError
 
@@ -21,6 +23,26 @@ def primes_upto(n: int) -> tuple[int, ...]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
     return tuple(compress(range(n + 1), sieve))
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf with spf[k] the smallest prime factor of k for 2 <= k <= n (spf[0] = 0,
+    spf[1] = 1). Larger primes are stamped first, so smaller ones overwrite them."""
+    spf = list(range(n + 1))
+    for p in reversed(primes_upto(isqrt(n))):
+        spf[p * p : n + 1 : p] = [p] * ((n - p * p) // p + 1)
+    return spf
+
+
+def valuation(n: int, p: int) -> int:
+    """v_p(n): the exponent of p in the nonzero integer n (p >= 2)."""
+    if n == 0 or p < 2:
+        raise DomainError(f"valuation needs n != 0 and p >= 2, got n={n}, p={p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def is_prime(n: int) -> bool:

@@ -32,6 +32,7 @@ from .lattices import (
     SmithForm,
     _ordered_factorizations,
     _smith_diagonal,
+    p_part,
     tally_cotypes,
 )
 from .primes import require_prime
@@ -142,18 +143,6 @@ class EmpiricalTable:
 # ---------------------------------------------------------------------------
 
 
-def _p_sylow_from_smith(sf: SmithForm, p: int) -> tuple[int, ...]:
-    vals = []
-    for s in sf.diag:
-        v = 0
-        while s % p == 0:
-            s //= p
-            v += 1
-        if v:
-            vals.append(v)
-    return tuple(sorted(vals, reverse=True))
-
-
 def _smith_of(entries: list[list[int]]) -> SmithForm:
     diag, free = _smith_diagonal(entries)
     return SmithForm(tuple(diag), free)
@@ -173,22 +162,26 @@ def _all_matrices(d: int, k: int, cap: int) -> Iterator[list[list[int]]]:
         yield [list(flat[i * d : (i + 1) * d]) for i in range(d)]
 
 
+def _matrices(cfg: SampleConfig, start: int = 0, stop: int | None = None
+              ) -> Iterator[list[list[int]]]:
+    """The matrices of trials [start, stop), or every matrix in exhaustive mode."""
+    if cfg.entry_bound is None:
+        raise DomainError("the matrix model needs entry_bound")
+    if cfg.exhaustive:
+        return _all_matrices(cfg.d, cfg.entry_bound, DEFAULT_EXHAUSTIVE_CAP)
+    stop = cfg.trials if stop is None else min(stop, cfg.trials)
+    return (_matrix_entries(cfg, t) for t in range(start, stop))
+
+
 def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
     """Stream (SmithForm, p-Sylow type) per trial of the matrix model.
 
     Singular draws are not an error: they carry free_rank > 0 and their p-Sylow
     type refers to the torsion part only.
     """
-    if cfg.entry_bound is None:
-        raise DomainError("the matrix model needs entry_bound")
-    if cfg.exhaustive:
-        for m in _all_matrices(cfg.d, cfg.entry_bound, DEFAULT_EXHAUSTIVE_CAP):
-            sf = _smith_of(m)
-            yield sf, _p_sylow_from_smith(sf, cfg.p)
-        return
-    for trial in range(cfg.trials):
-        sf = _smith_of(_matrix_entries(cfg, trial))
-        yield sf, _p_sylow_from_smith(sf, cfg.p)
+    for m in _matrices(cfg):
+        sf = _smith_of(m)
+        yield sf, p_part(reversed(sf.diag), cfg.p)
 
 
 @dataclass
@@ -214,25 +207,18 @@ def run_matrix_model(
     The p-rank observable is d - rank of the matrix over F_p, read off the Smith
     invariants as #{s_i divisible by p} plus the free rank.
     """
-    if cfg.entry_bound is None:
-        raise DomainError("the matrix model needs entry_bound")
     d, p = cfg.d, cfg.p
     type_counts: dict[str, int] = {}
     rank_counts = {rank_label(r): 0 for r in range(d + 1)}
     n = 0
-    if cfg.exhaustive:
-        source = _all_matrices(d, cfg.entry_bound, DEFAULT_EXHAUSTIVE_CAP)
-    else:
-        stop = cfg.trials if stop is None else min(stop, cfg.trials)
-        source = (_matrix_entries(cfg, t) for t in range(start, stop))
-    for m in source:
+    for m in _matrices(cfg, start, stop):
         sf = _smith_of(m)
         p_rank = sf.free_rank + sum(1 for s in sf.diag if s % p == 0)
         rank_counts[rank_label(p_rank)] += 1
         if sf.free_rank:
             label = FREE_LABEL
         else:
-            label = type_label(_p_sylow_from_smith(sf, p))
+            label = type_label(p_part(reversed(sf.diag), p))
         type_counts[label] = type_counts.get(label, 0) + 1
         n += 1
     return MatrixModelResult(

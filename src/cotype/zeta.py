@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 
 from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
 from .groups import Partition, ambient_subgroup_count, partitions_of
-from .primes import primes_upto, require_prime
+from .primes import primes_upto, require_prime, valuation
 from .qcomb import (
     IntPolynomial,
     ONE,
@@ -148,11 +148,19 @@ def series_coefficient(d: int, p: int, nu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _prime_power_coefficient(d: int, p: int, e: int) -> int:
-    return sum(
-        ambient_subgroup_count(d, Partition.of(parts), p)
+def _local_cotype_table(d: int, p: int, e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The index-p^e sublattices of Z^d by cotype: pairs ((p^nu_1,...,p^nu_d),
+    count), nu running over the partitions of e with at most d parts. p must be
+    a prime; callers take it from a factorization, so it is not checked."""
+    return tuple(
+        (tuple(p**v for v in parts) + (1,) * (d - len(parts)),
+         ambient_subgroup_count(d, parts, p))
         for parts in partitions_of(e, max_parts=d)
     )
+
+
+def _prime_power_coefficient(d: int, p: int, e: int) -> int:
+    return sum(count for _, count in _local_cotype_table(d, p, e))
 
 
 def dirichlet_coefficient(d: int, n: int) -> int:
@@ -164,10 +172,8 @@ def dirichlet_coefficient(d: int, n: int) -> int:
     f = 2
     while f * f <= m:
         if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
+            e = valuation(m, f)
+            m //= f**e
             out *= _prime_power_coefficient(d, f, e)
         f += 1
     if m > 1:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from cotype import cli
+from cotype.zeta import dirichlet_coefficients_upto
 
 
 def run_cli(*args, timeout=None):
@@ -56,6 +57,30 @@ class TestTally:
         assert run_cli("tally", "-d", "1").returncode == 1
         assert run_cli("tally", "-d", "0", "-X", "5").returncode == 1
         assert run_cli("nonsense").returncode == 1
+
+    @pytest.mark.parametrize("args", [
+        ("--max-matrices", "-1"),
+        ("--method", "enumerate", "--max-matrices", "-1"),
+        ("--method", "divisor"),
+    ])
+    def test_negative_cap_and_unknown_method_exit_1(self, args):
+        proc = run_cli("tally", "-d", "3", "-X", "50", *args, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "resource limit" not in proc.stderr
+
+    @pytest.mark.parametrize("d, X", [("1", "1000000000"), ("3", "1000000000"),
+                                      ("500", "3")])
+    @pytest.mark.parametrize("method", ["auto", "enumerate", "full"])
+    def test_huge_bound_exits_2_promptly(self, d, X, method):
+        proc = run_cli("tally", "-d", d, "-X", X, "--method", method, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
+
+    def test_d3_beyond_enumeration(self):
+        # csv without --out prints the summary only
+        proc = run_cli("tally", "-d", "3", "-X", "100000", "--format", "csv", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["N"] == sum(dirichlet_coefficients_upto(3, 100000))
 
 
 class TestDensity:

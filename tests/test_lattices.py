@@ -4,12 +4,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotype import lattices as lat
 from cotype.errors import DomainError, ResourceLimitError
-from cotype.zeta import dirichlet_coefficients_upto
+from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
 from helpers import snf_oracle
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 class TestHermiteBasis:
@@ -53,6 +57,10 @@ class TestEnumeration:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             list(lat.enumerate_hnf(3, 64, max_matrices=10))
+
+    def test_negative_cap_is_bad_input(self):
+        with pytest.raises(DomainError):
+            list(lat.enumerate_hnf(2, 4, max_matrices=-1))
 
 
 class TestSmithForm:
@@ -107,6 +115,9 @@ class TestCotype:
         assert ct.p_part(2) == (2, 1)
         assert ct.p_part(3) == (1,)
         assert ct.p_part(5) == ()
+        # the same partition from a Smith diagonal, smallest first, with no Cotype
+        assert lat.p_part(reversed((1, 2, 12)), 2) == (2, 1)
+        assert lat.p_part((), 2) == ()
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -115,7 +126,7 @@ class TestCotype:
 
 class TestTally:
     def test_methods_agree_d2(self):
-        a = lat.tally_cotypes(2, 60, method="divisor").counts
+        a = lat.tally_cotypes(2, 60, method="auto").counts
         b = lat.tally_cotypes(2, 60, method="enumerate").counts
         c = lat.tally_cotypes(2, 60, method="full").counts
         assert a == b == c
@@ -159,9 +170,44 @@ class TestTally:
                     combined[key] = combined.get(key, 0) + na * nb
             assert combined == lat.tally_cotypes_at_index(d, 36)
 
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, (200, 120, 40, 20)[d - 1]))))
+    def test_formula_matches_enumeration(self, args):
+        d, X = args
+        auto = lat.tally_cotypes(d, X).counts
+        assert auto == lat.tally_cotypes(d, X, method="enumerate").counts
+
+    def test_totals_match_sieve_d3(self):
+        assert lat.tally_cotypes(3, 20000).total == sum(dirichlet_coefficients_upto(3, 20000))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_corank_counts_follow_the_residue(self, d):
+        # N^(m)(X) ~ res_m X^d / d: the paper's count at d >= 3, far past enumeration
+        X = 10**4
+        tally = lat.tally_cotypes(d, X)
+        for m in range(1, d + 1):
+            ratio = tally.n_with_corank_at_most(m) * d / X**d
+            residue = corank_zeta_residue(d, m, 10**5).value
+            assert abs(ratio / residue - 1) < 1e-3, (m, ratio, residue)
+
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             lat.tally_cotypes(3, 50, method="enumerate", max_matrices=100)
+        # just past each of the formula's caps, and at the rank cap
+        for d, X in [(lat.MAX_TALLY_RANK + 1, 2), (3, lat.MAX_TALLY_SIZE // 3 + 1)]:
+            with pytest.raises(ResourceLimitError):
+                lat.tally_cotypes(d, X)
+        assert lat.tally_cotypes(lat.MAX_TALLY_RANK, 3).total == 2**lat.MAX_TALLY_RANK
+        with pytest.raises(ResourceLimitError):
+            lat.tally_cotypes(1, 10**9, method="enumerate", max_matrices=10**8)
+
+    def test_bad_method_and_negative_cap(self):
+        with pytest.raises(DomainError):
+            lat.tally_cotypes(2, 10, method="divisor")
+        for method in lat.TALLY_METHODS:
+            with pytest.raises(DomainError):
+                lat.tally_cotypes(2, 10, method=method, max_matrices=-1)
 
     def test_exports(self, tmp_path):
         t = lat.tally_cotypes(2, 12)
@@ -173,6 +219,7 @@ class TestTally:
         assert doc["total"] == t.total
         assert doc["bound"] == "index < X"
         assert sum(r["count"] for r in doc["rows"]) == t.total
+        assert doc["n_by_corank"] == {str(m): t.n_with_corank_at_most(m) for m in range(3)}
         lines = cpath.read_text().splitlines()
         assert lines[0].startswith("# d=2 X=12 convention: index < X")
         assert lines[1] == "alpha,corank,index,count"
