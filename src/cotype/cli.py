@@ -28,6 +28,7 @@ from .groups import (
 from .lattices import (
     DEFAULT_ENUM_CAP,
     TALLY_METHODS,
+    enumeration_size,
     tally_cotypes,
     tally_cotypes_at_index,
 )
@@ -197,6 +198,8 @@ def _suite_descent(args) -> list[CaseResult]:
 def _suite_oracle(args) -> list[CaseResult]:
     out = []
     d, p = args.d, require_prime(args.p)
+    # Refuse an over-cap total before the smaller indices spend their time.
+    enumeration_size(d, [p**e for e in range(args.emax + 1)], contracted=True)
     for e in range(args.emax + 1):
         counts = tally_cotypes_at_index(d, p**e)
         for parts in partitions_of(e, max_parts=d):
@@ -424,8 +427,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    started = time.time()
     seed = getattr(args, "seed", None)
     try:
         code, output = args.handler(args)
@@ -449,7 +452,7 @@ def main(argv=None) -> int:
             "permutation_cap": DEFAULT_PERMUTATION_CAP,
         },
         "version": __version__,
-        "wall_time_s": round(time.time() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
         "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")

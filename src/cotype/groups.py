@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from mpmath import mp, mpf
-
 from .errors import (
     DomainError,
     PrimeMismatchError,
@@ -24,14 +22,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .primes import require_prime, valuation
-from .qcomb import q_binomial
+from .qcomb import q_binomial, q_pochhammer, value_at_inverse
 
 # Truncation depth of the infinite products prod_{i>=1}(1 - p^-i).
 DEFAULT_PRODUCT_TRUNCATION = 64
 # Largest group order the brute-force searches will touch by default.
 DEFAULT_BRUTE_ORDER_CAP = 512
-# Working precision (bits) for truncated-product floats.
-_FLOAT_PREC = 113
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,10 @@ def _aut_order_closed(p: int, parts: tuple[int, ...]) -> int:
     """p^(sum of conjugate-part squares) * prod over equal-part runs of
     (1-p^-1)...(1-p^-m)."""
     conj = conjugate(parts) + (0,)
-    num = p ** sum(c * c for c in conj[:-1])
-    val = Fraction(num)
-    for i in range(len(conj) - 1):
-        mult = conj[i] - conj[i + 1]  # multiplicity of i+1 as a part
-        for j in range(1, mult + 1):
-            val *= 1 - Fraction(1, p**j)
+    # conj[i] - conj[i + 1] is the multiplicity of i+1 as a part
+    val = p ** sum(c * c for c in conj[:-1]) * math.prod(
+        value_at_inverse(p, q_pochhammer(1, conj[i] - conj[i + 1]))
+        for i in range(len(conj) - 1))
     assert val.denominator == 1
     return val.numerator
 
@@ -355,17 +349,8 @@ def embeds_brute_force(
 
 def truncated_unit_product(p: int, start: int = 1,
                            truncation: int = DEFAULT_PRODUCT_TRUNCATION) -> float:
-    """prod_{i=start}^{truncation} (1 - p^-i) at 113-bit working precision."""
-    with mp.workprec(_FLOAT_PREC):
-        q = mpf(1) / p
-        acc = mpf(1)
-        term = q**start
-        for _ in range(start, truncation + 1):
-            acc *= 1 - term
-            term *= q
-            if term < mpf(2) ** (-130):
-                break
-        return float(acc)
+    """prod_{i=start}^{truncation} (1 - p^-i), exact and then rounded."""
+    return float(value_at_inverse(p, q_pochhammer(start, truncation)))
 
 
 def product_tail_bound(p: int, truncation: int = DEFAULT_PRODUCT_TRUNCATION) -> float:
@@ -410,12 +395,8 @@ def rank_d_mass(G: AbelianPGroupType, d: int) -> Fraction:
     if r > d:
         raise RankExceedsDimensionError(f"rank {r} exceeds d = {d}")
     p = G.p
-    val = Fraction(1, aut_order(G))
-    for j in range(1, d + 1):
-        val *= 1 - Fraction(1, p**j)
-    for j in range(d - r + 1, d + 1):
-        val *= 1 - Fraction(1, p**j)
-    return val
+    return (Fraction(1, aut_order(G)) * value_at_inverse(p, q_pochhammer(1, d))
+            * value_at_inverse(p, q_pochhammer(d - r + 1, d)))
 
 
 def rank_d_mass_partial_sum(p: int, d: int, exponent_bound: int) -> Fraction:

@@ -8,6 +8,10 @@ column-style, off-diagonal entries reduced modulo the row's diagonal) and
 classifies each by its Smith invariant factors. Only the enumeration is
 independent of the q-binomial formulas, so it checks the formula side. All
 arithmetic is exact.
+
+One Hermite codec serves counting, enumeration and the sampler of
+`cotype.simulate`: `hermite_diagonals` (an index's diagonals with their basis
+counts) and `hermite_matrix` (a code decoded into the off-diagonal digits).
 """
 
 from __future__ import annotations
@@ -17,23 +21,25 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .groups import generating_tuple_count
-from .primes import smallest_prime_factors, valuation
+from .primes import factorize, smallest_prime_factors, valuation
 from .zeta import _local_cotype_table
 
 # Cap on how many matrices an enumeration call may visit.
 DEFAULT_ENUM_CAP = 10**8
+# Cap on one Hermite diagonal table, which takes about 30 bytes per entry.
+MAX_HERMITE_TABLE = 2 * 10**6  # on d * diagonals
 # Caps of the formula tally: its local tables build q-binomial rows of length
 # d, and it holds one to three cotypes of d entries per index below X.
 MAX_TALLY_RANK = 64
 MAX_TALLY_SIZE = 3 * 10**5  # on d * X
-# Tally methods: the formula, and the two enumeration oracles.
-TALLY_METHODS = ("auto", "enumerate", "full")
+# Tally methods: the formula, and the enumeration oracle.
+TALLY_METHODS = ("auto", "enumerate")
 # Cap on brute-force generating-tuple searches (candidate tuples examined).
 DEFAULT_TUPLE_CAP = 2**22
 
@@ -237,59 +243,108 @@ def cotype_of(basis: HermiteBasis) -> Cotype:
 
 @lru_cache(maxsize=4096)
 def _divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return tuple(small + large[::-1])
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [x * p**k for x in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
 
 
-def _ordered_factorizations(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All tuples (a_1,...,a_d) of positive integers with product n."""
-    if d == 1:
-        yield (n,)
-        return
-    for a in _divisors(n):
-        for rest in _ordered_factorizations(n // a, d - 1):
-            yield (a,) + rest
+def _diagonal_count(d: int, n: int) -> int:
+    """Number of Hermite diagonals of index n in Z^d (ordered factorizations of
+    n into d factors): prod over p^e || n of C(e + d - 1, d - 1)."""
+    return prod(comb(e + d - 1, d - 1) for _, e in factorize(n))
+
+
+def _basis_count(diag: tuple[int, ...]) -> int:
+    """Number of Hermite bases with this diagonal, prod a_i^(d-1-i) = prod over
+    k < d of a_1 * ... * a_k: every off-diagonal entry of row i is in [0, a_i)."""
+    out = head = 1
+    for a in diag[:-1]:
+        head *= a
+        out *= head
+    return out
+
+
+# Sized above the sampler's DEFAULT_SUBLATTICE_INDEX_CAP, every index of a draw.
+@lru_cache(maxsize=1 << 14)
+def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The Hermite diagonals (a_1,...,a_d) of index n, and beside them the
+    number of bases each carries (_basis_count). Diagonals come in
+    lexicographic order, the canonical order of the enumeration and the
+    sampler. ResourceLimitError when d * diagonals passes MAX_HERMITE_TABLE."""
+    if d < 1 or n < 1:
+        raise DomainError("need d >= 1 and n >= 1")
+    if d * _diagonal_count(d, n) > MAX_HERMITE_TABLE:
+        raise ResourceLimitError(f"Hermite table of Z^{d} at index {n} > {MAX_HERMITE_TABLE}")
+    divs = _divisors(n)
+    # The diagonals of the last k rows for every index m | n, k growing to d.
+    tails = {m: [(m,)] for m in divs}
+    for k in range(2, d + 1):
+        tails = {
+            m: [(a,) + rest for a in _divisors(m) for rest in tails[m // a]]
+            for m in (divs if k < d else (n,))
+        }
+    diags = tuple(tails[n])
+    return diags, tuple(map(_basis_count, diags))
+
+
+def hermite_matrix(diag: tuple[int, ...], code: int) -> list[list[int]]:
+    """The code-th Hermite matrix with diagonal diag, 0 <= code < its
+    _basis_count: the entries right of the diagonal, row by row, are the
+    digits of code, least significant first, in base diag[i] for row i."""
+    d = len(diag)
+    rows = []
+    for i, a in enumerate(diag):
+        row = [0] * d
+        row[i] = a
+        for j in range(i + 1, d):
+            row[j] = code % a
+            code //= a
+        rows.append(row)
+    return rows
 
 
 def hnf_count(d: int, n: int) -> int:
     """Number of index-n sublattices of Z^d, summed over Hermite diagonals."""
-    if d < 1 or n < 1:
-        raise DomainError("need d >= 1 and n >= 1")
-    return sum(
-        prod(diag[i] ** (d - 1 - i) for i in range(d))
-        for diag in _ordered_factorizations(n, d)
+    return sum(hermite_diagonals(d, n)[1])
+
+
+def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = DEFAULT_ENUM_CAP,
+                     contracted: bool = False) -> int:
+    """Number of matrices an enumeration of Z^d at the given indices visits:
+    every Hermite basis, or with contracted, the bases of each diagonal's core
+    (_tally_index_enumerated); ResourceLimitError past max_matrices. Each index
+    is first refused on its number of diagonals, each visited at least once, so
+    that no large table is built."""
+    _check_cap(max_matrices)
+    total = len(indices)
+    for n in indices:
+        if total + _diagonal_count(d, n) - 1 > max_matrices:
+            break
+        diags, counts = hermite_diagonals(d, n)
+        if contracted:
+            counts = map(_basis_count, (tuple(a for a in g if a > 1) for g in diags))
+        total += sum(counts) - 1
+    else:
+        if total <= max_matrices:
+            return total
+    raise ResourceLimitError(
+        f"enumerating Z^{d} at {len(indices)} indices up to {indices[-1]} visits"
+        f" more than {max_matrices} matrices"
     )
 
 
 def enumerate_hnf(
     d: int, n: int, max_matrices: int = DEFAULT_ENUM_CAP
 ) -> Iterator[HermiteBasis]:
-    """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis."""
+    """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis,
+    in the order of hermite_diagonals and then of codes."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
-    _check_cap(max_matrices)
-    total = hnf_count(d, n)
-    if total > max_matrices:
-        raise ResourceLimitError(
-            f"enumeration of {total} matrices exceeds the cap of {max_matrices}"
-        )
-    for diag in _ordered_factorizations(n, d):
-        positions = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        ranges = [range(diag[i]) for i, _ in positions]
-        for combo in itertools.product(*ranges):
-            rows = [[0] * d for _ in range(d)]
-            for i in range(d):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(positions, combo):
-                rows[i][j] = v
-            yield HermiteBasis(tuple(tuple(r) for r in rows))
+    enumeration_size(d, [n], max_matrices)
+    for diag, count in zip(*hermite_diagonals(d, n)):
+        for code in range(count):
+            yield HermiteBasis(hermite_matrix(diag, code))
 
 
 def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) -> None:
@@ -300,33 +355,17 @@ def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) 
     and each free off-diagonal entry aimed at a deleted column multiplies the
     count without changing the cotype.
     """
-    ones = (1,) * d
-    for diag in _ordered_factorizations(n, d):
-        kept = [i for i in range(d) if diag[i] > 1]
-        c = len(kept)
-        mult = 1
-        for i in kept:
-            dropped_after = sum(1 for j in range(i + 1, d) if diag[j] == 1)
-            if dropped_after:
-                mult *= diag[i] ** dropped_after
-        if c == 0:
-            counts[ones] = counts.get(ones, 0) + 1
+    for diag, count in zip(*hermite_diagonals(d, n)):
+        core = tuple(a for a in diag if a > 1)
+        pad = (1,) * (d - len(core))
+        if len(core) <= 1:
+            key = core + pad
+            counts[key] = counts.get(key, 0) + count
             continue
-        if c == 1:
-            key = (diag[kept[0]],) + (1,) * (d - 1)
-            counts[key] = counts.get(key, 0) + mult
-            continue
-        core_diag = [diag[i] for i in kept]
-        positions = [(u, v) for u in range(c) for v in range(u + 1, c)]
-        ranges = [range(core_diag[u]) for u, _ in positions]
-        pad = (1,) * (d - c)
-        for combo in itertools.product(*ranges):
-            m = [[0] * c for _ in range(c)]
-            for u in range(c):
-                m[u][u] = core_diag[u]
-            for (u, v), val in zip(positions, combo):
-                m[u][v] = val
-            inv, _ = _smith_diagonal(m)
+        core_count = _basis_count(core)
+        mult = count // core_count
+        for code in range(core_count):
+            inv, _ = _smith_diagonal(hermite_matrix(core, code))
             key = tuple(reversed(inv)) + pad
             counts[key] = counts.get(key, 0) + mult
 
@@ -393,9 +432,11 @@ class CotypeTally:
 
 
 def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
-    """Exact map cotype-tuple -> count over sublattices of index exactly n."""
+    """Exact map cotype-tuple -> count over sublattices of index exactly n, by
+    the contracted enumeration (at most DEFAULT_ENUM_CAP matrices)."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
+    enumeration_size(d, [n], contracted=True)
     counts: dict[tuple[int, ...], int] = {}
     _tally_index_enumerated(d, n, counts)
     return counts
@@ -441,10 +482,10 @@ def tally_cotypes(
     """Tally every sublattice of Z^d of index < X by cotype (exact).
 
     method 'auto' multiplies the local cotype tables of each index's prime
-    powers (d <= MAX_TALLY_RANK, d * X <= MAX_TALLY_SIZE). The oracles,
-    independent of those formulas, Smith-reduce Hermite bases and visit at most
-    max_matrices matrices: 'enumerate' contracts rows with diagonal 1 away
-    first, 'full' does not.
+    powers (d <= MAX_TALLY_RANK, d * X <= MAX_TALLY_SIZE). The oracle
+    'enumerate', independent of those formulas, contracts the Hermite rows with
+    diagonal 1 away, Smith-reduces the rest and visits at most max_matrices
+    matrices.
     """
     if d < 1 or X < 1:
         raise DomainError("need d >= 1 and X >= 1")
@@ -455,24 +496,10 @@ def tally_cotypes(
     if method == "auto":
         raw = _tally_formula(d, X)
     else:
-        # Every index has a sublattice: start from X - 1 and stop past the cap.
-        total, n = X - 1, 1
-        while total <= max_matrices and n < X:
-            total += hnf_count(d, n) - 1
-            n += 1
-        if total > max_matrices:
-            raise ResourceLimitError(
-                f"tally of index < {X} visits more than {max_matrices} matrices, the cap"
-            )
+        enumeration_size(d, range(1, X), max_matrices)
         raw = {}
-        if method == "enumerate":
-            for n in range(1, X):
-                _tally_index_enumerated(d, n, raw)
-        else:
-            for n in range(1, X):
-                for basis in enumerate_hnf(d, n, max_matrices=max_matrices):
-                    key = cotype_of(basis).alpha
-                    raw[key] = raw.get(key, 0) + 1
+        for n in range(1, X):
+            _tally_index_enumerated(d, n, raw)
     counts = {Cotype(k): v for k, v in raw.items() if v}
     return CotypeTally(d=d, X=X, counts=counts)
 

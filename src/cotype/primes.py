@@ -45,6 +45,19 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime powers (p, e) exactly dividing n >= 1, p ascending, by trial
+    division up to the square root of the part not yet factored."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            e = valuation(n, f)
+            n //= f**e
+            out.append((f, e))
+        f += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin on fixed bases; a strong probable-prime test past 3.3 * 10^24."""
     if n < 2 or any(n % b == 0 for b in _MR_BASES):

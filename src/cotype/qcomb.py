@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, DomainError
@@ -199,6 +200,22 @@ def one_minus_q_pow(j: int) -> IntPolynomial:
     if j == 0:
         return ZERO
     return IntPolynomial([1] + [0] * (j - 1) + [-1])
+
+
+@lru_cache(maxsize=None)
+def q_pochhammer(lo: int, hi: int) -> IntPolynomial:
+    """prod_{j=lo}^{hi} (1 - q^j); 1 when hi < lo."""
+    out = ONE
+    for j in range(lo, hi + 1):
+        out = out * one_minus_q_pow(j)
+    return out
+
+
+def value_at_inverse(p: int, num: IntPolynomial, den: IntPolynomial = ONE) -> Fraction:
+    """Exact num(1/p) / den(1/p). Horner's rule at p over the ascending
+    coefficients of f gives the integer p^deg(f) f(1/p), so one Fraction is formed."""
+    a, b = (reduce(lambda acc, c: acc * p + c, f.coeffs, 0) for f in (num, den))
+    return Fraction(a * p ** den.degree, b * p ** max(num.degree, 0))
 
 
 def q_int(n: int) -> IntPolynomial:

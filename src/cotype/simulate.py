@@ -21,7 +21,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Iterator
 
 from .errors import DomainError, LabelMismatchError, ResourceLimitError
@@ -30,8 +29,9 @@ from .lattices import (
     Cotype,
     HermiteBasis,
     SmithForm,
-    _ordered_factorizations,
     _smith_diagonal,
+    hermite_diagonals,
+    hermite_matrix,
     p_part,
     tally_cotypes,
 )
@@ -238,8 +238,9 @@ class SublatticeSampler:
 
     A draw picks an integer in [0, N_d(X)) and decodes it positionally: first
     the index n (weighted by the number of sublattices of that index), then the
-    Hermite diagonal (weighted by its matrix count), then the off-diagonal
-    digits. No rejection, no materialized list.
+    Hermite diagonal (weighted by its matrix count, in the order of
+    `lattices.hermite_diagonals`), then the off-diagonal digits
+    (`lattices.hermite_matrix`). No rejection, no materialized list.
     """
 
     def __init__(self, d: int, X: int,
@@ -252,23 +253,9 @@ class SublatticeSampler:
                 f"uniform sublattice sampling capped at d <= {dim_cap}, X <= {index_cap}"
             )
         self.d, self.X = d, X
-        self._diag_cache: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
-        self._cum = [0] * X  # cumulative counts: _cum[n] = N_d(n+1)
-        running = 0
-        for n in range(1, X):
-            running += sum(w for w in self._diag_weights(n)[1])
-            self._cum[n] = running
-        self.total = running
-
-    def _diag_weights(self, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        cached = self._diag_cache.get(n)
-        if cached is None:
-            d = self.d
-            diags = list(_ordered_factorizations(n, d))
-            weights = [prod(a ** (d - 1 - i) for i, a in enumerate(diag)) for diag in diags]
-            cached = (diags, weights)
-            self._diag_cache[n] = cached
-        return cached
+        # cumulative counts: _cum[n] = N_d(n+1)
+        self._cum = list(itertools.accumulate(dirichlet_coefficients_upto(d, X)))
+        self.total = self._cum[-1]
 
     def basis_at(self, code: int) -> HermiteBasis:
         """The code-th sublattice in the canonical order, 0 <= code < total."""
@@ -276,20 +263,11 @@ class SublatticeSampler:
             raise DomainError("code out of range")
         n = bisect_right(self._cum, code)
         off = code - self._cum[n - 1]
-        diags, weights = self._diag_weights(n)
-        for diag, w in zip(diags, weights):
-            if off < w:
+        for diag, count in zip(*hermite_diagonals(self.d, n)):
+            if off < count:
                 break
-            off -= w
-        d = self.d
-        rows = [[0] * d for _ in range(d)]
-        for i in range(d):
-            rows[i][i] = diag[i]
-        for i in range(d):
-            for j in range(i + 1, d):
-                rows[i][j] = off % diag[i]
-                off //= diag[i]
-        return HermiteBasis(tuple(tuple(r) for r in rows))
+            off -= count
+        return HermiteBasis(hermite_matrix(diag, off))
 
     def sample(self, rng: random.Random) -> HermiteBasis:
         return self.basis_at(rng.randrange(self.total))

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
 from .groups import Partition, ambient_subgroup_count, partitions_of
-from .primes import primes_upto, require_prime, valuation
+from .primes import factorize, primes_upto, require_prime
 from .qcomb import (
     IntPolynomial,
     ONE,
@@ -35,6 +35,8 @@ from .qcomb import (
     descent_poly_inclusion_exclusion,
     one_minus_q_pow,
     q_binomial,
+    q_pochhammer,
+    value_at_inverse,
 )
 
 # The numerator of the local factor has 2^(d-1) terms.
@@ -167,18 +169,7 @@ def dirichlet_coefficient(d: int, n: int) -> int:
     """Number of index-n sublattices of Z^d, multiplicatively over n's primes."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
-    out = 1
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = valuation(m, f)
-            m //= f**e
-            out *= _prime_power_coefficient(d, f, e)
-        f += 1
-    if m > 1:
-        out *= _prime_power_coefficient(d, m, 1)
-    return out
+    return math.prod(_prime_power_coefficient(d, p, e) for p, e in factorize(n))
 
 
 def dirichlet_coefficients_upto(d: int, N: int) -> list[int]:
@@ -210,15 +201,6 @@ _Ratio = tuple[IntPolynomial, IntPolynomial]
 
 
 @lru_cache(maxsize=None)
-def _pochhammer(lo: int, hi: int) -> IntPolynomial:
-    """prod_{j=lo}^{hi} (1 - q^j); 1 when hi < lo."""
-    out = ONE
-    for j in range(lo, hi + 1):
-        out = out * one_minus_q_pow(j)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _durfee_sum(d: int, m: int) -> IntPolynomial:
     """sum_{i=0}^{m} [d choose i]_q q^(i^2) prod_{j=i+1}^{m} (1-q^j), by Horner."""
     if not 1 <= m <= d:
@@ -232,12 +214,12 @@ def _durfee_sum(d: int, m: int) -> IntPolynomial:
 def _residue_factor(d: int, m: int) -> _Ratio:
     """(1-q) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j), over the
     denominator prod_{j<=m} (1-q^j), with 1-q cancelled."""
-    return _durfee_sum(d, m), _pochhammer(2, m)
+    return _durfee_sum(d, m), q_pochhammer(2, m)
 
 
 def _density_factor(d: int, m: int) -> _Ratio:
     """prod_{j<=d} (1-q^j) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j)."""
-    return _durfee_sum(d, m) * _pochhammer(m + 1, d), ONE
+    return _durfee_sum(d, m) * q_pochhammer(m + 1, d), ONE
 
 
 def _cocyclic_factor(d: int) -> _Ratio:
@@ -246,14 +228,7 @@ def _cocyclic_factor(d: int) -> _Ratio:
 
 
 def _squarefree_factor(inner_truncation: int) -> _Ratio:
-    return _pochhammer(2, inner_truncation), ONE
-
-
-def _ratio_at(factor: _Ratio, p: int) -> Fraction:
-    """Exact num(1/p) / den(1/p); Horner's rule at p over the ascending
-    coefficients of f gives p^deg(f) f(1/p)."""
-    num, den = (reduce(lambda acc, c: acc * p + c, f.coeffs, 0) for f in factor)
-    return Fraction(num * p ** factor[1].degree, den * p ** factor[0].degree)
+    return q_pochhammer(2, inner_truncation), ONE
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +242,7 @@ def corank_local_factor_at_pole(d: int, m: int, p: int) -> Fraction:
     (1 - p^-1) * sum_{i=0}^{m} [d choose i]_q q^(i^2) / prod_{j=1}^{i} (1-q^j)
     with q = 1/p; the local factor of corank_zeta_residue.
     """
-    return _ratio_at(_residue_factor(d, m), p)
+    return value_at_inverse(p, *_residue_factor(d, m))
 
 
 def cokernel_rank_density_local(d: int, p: int, m: int) -> Fraction:
@@ -278,7 +253,7 @@ def cokernel_rank_density_local(d: int, p: int, m: int) -> Fraction:
     """
     if not 0 <= m <= d:
         raise DomainError(f"need 0 <= m <= d, got m={m}, d={d}")
-    A = [_ratio_at((_pochhammer(1, n), ONE), p) for n in range(d + 1)]
+    A = [value_at_inverse(p, q_pochhammer(1, n)) for n in range(d + 1)]
     return A[d] * sum(Fraction(1, p ** (i * i)) * A[d] / (A[i] ** 2 * A[d - i])
                       for i in range(m + 1))
 
@@ -287,7 +262,7 @@ def corank_density_local(d: int, m: int, p: int) -> Fraction:
     """Exact p-factor of the corank-<=m density:
     prod_{j=1}^{d}(1-p^-j) * sum_{i=0}^{m} [d choose i]_q q^(i^2)/prod(1-q^j);
     the local factor of corank_density."""
-    return _ratio_at(_density_factor(d, m), p)
+    return value_at_inverse(p, *_density_factor(d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +351,7 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     with mp.workprec(_EULER_PREC):
         acc = mpf(1)
         for p in primes[:n_direct]:
-            v = _ratio_at(factor, p)
+            v = value_at_inverse(p, *factor)
             acc *= mpf(v.numerator) / v.denominator
         value = float(acc * mp.exp(mpf(log_sum.numerator) / log_sum.denominator))
 

@@ -5,6 +5,7 @@ from math import gcd, prod
 
 from mpmath import mp, mpf
 
+from cotype.lattices import cotype_of, enumerate_hnf
 from cotype.primes import primes_upto
 
 
@@ -20,6 +21,17 @@ def det_by_permutations(rows) -> int:
                     sign = -sign
         total += sign * prod(rows[i][perm[i]] for i in range(n))
     return total
+
+
+def tally_by_full_enumeration(d: int, X: int) -> dict:
+    """Cotype counts of index < X with no contraction: the Smith form of every
+    Hermite basis, keyed by Cotype like CotypeTally.counts."""
+    counts: dict = {}
+    for n in range(1, X):
+        for basis in enumerate_hnf(d, n):
+            ct = cotype_of(basis)
+            counts[ct] = counts.get(ct, 0) + 1
+    return counts
 
 
 def snf_oracle(rows):

@@ -62,6 +62,7 @@ class TestTally:
         ("--max-matrices", "-1"),
         ("--method", "enumerate", "--max-matrices", "-1"),
         ("--method", "divisor"),
+        ("--method", "full"),
     ])
     def test_negative_cap_and_unknown_method_exit_1(self, args):
         proc = run_cli("tally", "-d", "3", "-X", "50", *args, timeout=60)
@@ -70,7 +71,7 @@ class TestTally:
 
     @pytest.mark.parametrize("d, X", [("1", "1000000000"), ("3", "1000000000"),
                                       ("500", "3")])
-    @pytest.mark.parametrize("method", ["auto", "enumerate", "full"])
+    @pytest.mark.parametrize("method", ["auto", "enumerate"])
     def test_huge_bound_exits_2_promptly(self, d, X, method):
         proc = run_cli("tally", "-d", d, "-X", X, "--method", method, timeout=20)
         assert proc.returncode == 2, proc.stderr
@@ -118,6 +119,14 @@ class TestVerify:
             doc = json.loads(proc.stdout)
             assert doc["ok"] and doc["failures"] == []
 
+    @pytest.mark.parametrize("extra", [("--p", "3"), ("--d", "8")])
+    def test_oracle_under_the_cap_runs(self, extra):
+        # the cap counts the contracted cores, not every Hermite basis: at
+        # (d, p, emax) = (6, 3, 4) and (8, 2, 4) n^(d-1) passes 10^8
+        proc = run_cli("verify", "oracle", *extra, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"]
+
     def test_failure_exits_3_with_counterexample(self, monkeypatch, capsys):
         def rigged(args):
             return [cli.CaseResult("rigged-case q=1", False, "forced failure")]
@@ -146,6 +155,12 @@ class TestInputContracts:
 
     def test_descent_cap_exits_2_promptly(self):
         proc = run_cli("verify", "descent", "--d", "10", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
+
+    @pytest.mark.parametrize("d, emax", [("3", "14"), ("60", "40")])
+    def test_oracle_cap_exits_2_promptly(self, d, emax):
+        proc = run_cli("verify", "oracle", "--d", d, "--p", "2", "--emax", emax, timeout=20)
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
 

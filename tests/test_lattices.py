@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from cotype import lattices as lat
 from cotype.errors import DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
-from helpers import snf_oracle
+from helpers import snf_oracle, tally_by_full_enumeration
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -57,6 +58,37 @@ class TestEnumeration:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             list(lat.enumerate_hnf(3, 64, max_matrices=10))
+
+    def test_cap_refuses_before_counting(self):
+        # each index is refused on its number of diagonals before its table is built
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            list(lat.enumerate_hnf(60, 2**40, max_matrices=10))
+        with pytest.raises(ResourceLimitError):  # about 3.6 * 10^8 contracted cores
+            lat.tally_cotypes_at_index(3, 2**15)
+        with pytest.raises(ResourceLimitError):
+            lat.tally_cotypes_at_index(60, 2**40)
+        with pytest.raises(ResourceLimitError):
+            lat.hermite_diagonals(250, 4)
+        assert time.perf_counter() - start < 5
+        assert lat.enumeration_size(3, range(1, 10)) == sum(dirichlet_coefficients_upto(3, 10))
+        with pytest.raises(ResourceLimitError):
+            lat.enumeration_size(3, range(1, 10), max_matrices=100)
+
+    def test_contracted_size_counts_cores(self):
+        # index 4 in Z^3: the cores (4) x3 and (2, 2) x3 with 2 bases each
+        assert lat.enumeration_size(3, [4], contracted=True) == 9
+        assert lat.enumeration_size(3, [4]) == lat.hnf_count(3, 4) == 35
+        # 16^7 bases, but only a few thousand contracted cores
+        assert lat.enumeration_size(8, [16], contracted=True) < 10**5
+        counts = lat.tally_cotypes_at_index(8, 16)
+        assert sum(counts.values()) == lat.hnf_count(8, 16)
+
+    def test_diagonal_table(self):
+        diags, counts = lat.hermite_diagonals(3, 4)
+        assert diags == ((1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1))
+        assert counts == (1, 2, 4, 4, 8, 16)
+        assert lat.hermite_matrix((2, 2, 1), 5) == [[2, 1, 0], [0, 2, 1], [0, 0, 1]]
 
     def test_negative_cap_is_bad_input(self):
         with pytest.raises(DomainError):
@@ -128,17 +160,17 @@ class TestTally:
     def test_methods_agree_d2(self):
         a = lat.tally_cotypes(2, 60, method="auto").counts
         b = lat.tally_cotypes(2, 60, method="enumerate").counts
-        c = lat.tally_cotypes(2, 60, method="full").counts
+        c = tally_by_full_enumeration(2, 60)
         assert a == b == c
 
     def test_methods_agree_d3(self):
         a = lat.tally_cotypes(3, 25, method="enumerate").counts
-        b = lat.tally_cotypes(3, 25, method="full").counts
+        b = tally_by_full_enumeration(3, 25)
         assert a == b
 
     def test_methods_agree_d4(self):
         a = lat.tally_cotypes(4, 9, method="enumerate").counts
-        b = lat.tally_cotypes(4, 9, method="full").counts
+        b = tally_by_full_enumeration(4, 9)
         assert a == b
 
     def test_examples(self):

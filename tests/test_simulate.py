@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo laboratory and the exact probability helpers."""
 
+import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,7 @@ from cotype import simulate as sim
 from cotype import zeta as zt
 from cotype.errors import DomainError, LabelMismatchError, ResourceLimitError
 from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
-from cotype.lattices import HermiteBasis, cotype_of, tally_cotypes
+from cotype.lattices import HermiteBasis, cotype_of, enumerate_hnf, tally_cotypes
 
 from helpers import rank_mod_p, snf_oracle
 
@@ -175,6 +178,33 @@ class TestUniformSublattices:
         sampler = sim.SublatticeSampler(3, 7)
         seen = {sampler.basis_at(i).rows for i in range(sampler.total)}
         assert len(seen) == sampler.total
+
+    def test_decode_order_is_pinned(self):
+        # the code -> basis map behind every seeded `simulate sublattice` run
+        sampler = sim.SublatticeSampler(2, 5)
+        assert [sampler.basis_at(i).rows for i in range(sampler.total)] == [
+            ((1, 0), (0, 1)),
+            ((1, 0), (0, 2)), ((2, 0), (0, 1)), ((2, 1), (0, 1)),
+            ((1, 0), (0, 3)), ((3, 0), (0, 1)), ((3, 1), (0, 1)), ((3, 2), (0, 1)),
+            ((1, 0), (0, 4)), ((2, 0), (0, 2)), ((2, 1), (0, 2)),
+            ((4, 0), (0, 1)), ((4, 1), (0, 1)), ((4, 2), (0, 1)), ((4, 3), (0, 1)),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cotype.cli", "simulate", "sublattice", "-d", "3",
+             "-X", "300", "-p", "2", "-n", "3000", "--seed", "7"],
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "a5e114ae83ddf7e5f676787a74404a2f8963066c50b1b12e4d4a8b5731f8d8fb")
+
+    @pytest.mark.parametrize("d, X", [(1, 30), (2, 30), (3, 13)])
+    def test_decode_matches_enumeration(self, d, X):
+        sampler = sim.SublatticeSampler(d, X)
+        decoded: dict = {}
+        for code in range(sampler.total):
+            basis = sampler.basis_at(code)
+            decoded.setdefault(basis.index, set()).add(basis.rows)
+        assert decoded == {n: {b.rows for b in enumerate_hnf(d, n)} for n in range(1, X)}
 
     def test_d1_uniform_over_indices(self):
         sampler = sim.SublatticeSampler(1, 6)
