@@ -24,7 +24,6 @@ from .lattices import (
     HermiteBasis,
     SmithForm,
     cotype_of,
-    count_generating_tuples,
     enumerate_hnf,
     hnf_count,
     smith_normal_form,
@@ -36,6 +35,7 @@ from .groups import (
     aut_order,
     cohen_lenstra_mass,
     conjugate,
+    count_generating_tuples,
     embeds,
     rank_d_mass,
 )

@@ -23,7 +23,7 @@ from .groups import (
     AbelianPGroupType,
     aut_order,
     partitions_of,
-    rank_d_mass,
+    rank_d_masses,
 )
 from .lattices import (
     DEFAULT_ENUM_CAP,
@@ -286,14 +286,9 @@ def _rank_theory(d: int, p: int) -> dict[str, Fraction]:
 
 
 def _type_theory(d: int, p: int, exponent_cap: int) -> dict[str, Fraction]:
-    theory = {}
-    total = Fraction(0)
-    for size in range(exponent_cap * d + 1):
-        for parts in partitions_of(size, max_parts=d, max_part=exponent_cap):
-            mass = rank_d_mass(AbelianPGroupType.of(p, parts), d)
-            theory[type_label(parts)] = mass
-            total += mass
-    theory[OTHER_LABEL] = 1 - total
+    masses = rank_d_masses(p, d, exponent_cap)
+    theory = {type_label(parts): mass for parts, mass in masses.items()}
+    theory[OTHER_LABEL] = 1 - sum(masses.values())
     return theory
 
 

@@ -1,18 +1,23 @@
 """Finite abelian p-group bookkeeping.
 
 Types are partitions (the group of type lambda is the direct sum of Z/p^lambda_i),
-and this module provides conjugation, automorphism-group orders by three
-independent routes, subgroup-embedding tests, and the Cohen-Lenstra probability
-masses together with their rank-bounded variant.
+and this module provides conjugation, subgroup and generating-tuple counts,
+automorphism-group orders by three independent routes, subgroup-embedding
+tests, and the Cohen-Lenstra probability masses together with their
+rank-bounded variant.
+
+One brute-force search is the oracle of every closed form here: it counts the
+tuples of given orders in an explicit group that generate a subgroup of a given
+type (`_generating_tuples_brute`). |Aut(G)| counts the generating tuples of G
+itself, H embeds in G when some tuple of G generates a copy of H, and
+`count_generating_tuples(..., "brute")` searches (Z/p^a)^d.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -28,6 +33,9 @@ from .qcomb import q_binomial, q_pochhammer, value_at_inverse
 DEFAULT_PRODUCT_TRUNCATION = 64
 # Largest group order the brute-force searches will touch by default.
 DEFAULT_BRUTE_ORDER_CAP = 512
+# Cap on the (span, candidate) pairs of one brute-force step: F_2^6 needs
+# 87,885 (1,395 subspaces of dimension 3 x 63 vectors), F_2^7 338,709.
+MAX_BRUTE_JOINS = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,33 @@ def generating_tuple_count(d: int, p: int, parts: tuple[int, ...]) -> int:
                      for j, part in enumerate(parts))
 
 
+def count_generating_tuples(
+    d: int,
+    p: int,
+    lam: Iterable[int],
+    method: str = "closed",
+    max_order: int = DEFAULT_BRUTE_ORDER_CAP,
+) -> int:
+    """Number of r-tuples in (Z/p^(lam_1))^d generating a subgroup of type lam,
+    with the i-th entry of additive order exactly p^(lam_i).
+
+    method 'closed' evaluates generating_tuple_count; the oracle 'brute' runs
+    the subgroup search of aut_order and embeds_brute_force on the p^(lam_1 d)
+    elements, at most max_order of them.
+    """
+    require_prime(p)
+    lam = tuple(int(a) for a in lam)
+    if any(a < 1 for a in lam) or list(lam) != sorted(lam, reverse=True):
+        raise DomainError("type must be a partition with positive parts")
+    if len(lam) > d:
+        raise DomainError("type has more parts than the ambient rank")
+    if method == "closed":
+        return generating_tuple_count(d, p, lam)
+    if method == "brute":
+        return _generating_tuples_brute(p, lam[:1] * d, lam, max_order)
+    raise DomainError(f"unknown method {method!r}")
+
+
 def _aut_order_tuple_identity(p: int, parts: tuple[int, ...]) -> int:
     """Solve  |Aut| * #subgroups = #generating tuples  with ambient rank = rank."""
     r = len(parts)
@@ -178,39 +213,32 @@ def _aut_order_tuple_identity(p: int, parts: tuple[int, ...]) -> int:
 
 
 class _SmallGroup:
-    """Explicit model of the direct sum of Z/p^(parts_i), elements coded 0..n-1."""
+    """Explicit model of the direct sum of Z/p^(parts_i). The elements are
+    coded 0..n-1 by their coordinates in mixed radix, the first one leading."""
 
     def __init__(self, p: int, parts: tuple[int, ...]):
         self.p = p
         self.parts = parts
-        self.moduli = [p**a for a in parts]
-        self.n = math.prod(self.moduli)
-        self.elements = list(itertools.product(*(range(m) for m in self.moduli)))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.zero = self.index[tuple(0 for _ in parts)]
-        self.add = [
-            [
-                self.index[tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))]
-                for y in self.elements
-            ]
-            for x in self.elements
-        ]
-        self.order_exp = [
-            max((a - valuation(c, p) for c, a in zip(x, parts) if c), default=0)
-            for x in self.elements
-        ]
-        self._join_cache: dict[tuple[frozenset, int], frozenset] = {}
+        self.n = p ** sum(parts)
+        # Codes of x + y and of p x, and the exponent of the order of x, built
+        # by prepending one coordinate at a time to the trivial group.
+        add, times_p, order_exp = [[0]], [0], [0]
+        for a in reversed(parts):
+            m, k = p**a, len(add)
+            add = [[(u + v) % m * k + w for v in range(m) for w in row]
+                   for u in range(m) for row in add]
+            times_p = [u * p % m * k + w for u in range(m) for w in times_p]
+            order_exp = [max(a - valuation(u, p), e) if u else e
+                         for u in range(m) for e in order_exp]
+        self.add, self.times_p, self.order_exp = add, times_p, order_exp
 
     def trivial_subgroup(self) -> frozenset:
-        return frozenset((self.zero,))
+        return frozenset((0,))
 
     def join(self, sub: frozenset, x: int) -> frozenset:
+        """The subgroup generated by sub and x: the cosets sub + k x."""
         if x in sub:
             return sub
-        key = (sub, x)
-        cached = self._join_cache.get(key)
-        if cached is not None:
-            return cached
         add = self.add
         out = set(sub)
         base = list(sub)
@@ -218,73 +246,51 @@ class _SmallGroup:
         while t not in sub:
             row = add[t]
             out.update(row[h] for h in base)
-            t = add[t][x]
-        result = frozenset(out)
-        self._join_cache[key] = result
-        return result
-
-    def all_subgroups(self) -> list[frozenset]:
-        seen = {self.trivial_subgroup()}
-        frontier = [self.trivial_subgroup()]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for x in range(self.n):
-                    t = self.join(sub, x)
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        return list(seen)
-
-    def type_of(self, sub: frozenset) -> tuple[int, ...]:
-        """Isomorphism type of a subgroup from its element-order census."""
-        if len(sub) == 1:
-            return ()
-        max_exp = self.parts[0]
-        order_exp = self.order_exp
-        conj = []
-        prev = 1
-        for i in range(1, max_exp + 1):
-            cur = sum(1 for x in sub if order_exp[x] <= i)
-            conj.append(valuation(cur // prev, self.p))
-            prev = cur
-        return conjugate(conj)
+            t = row[x]
+        return frozenset(out)
 
 
-def _aut_order_brute(p: int, parts: tuple[int, ...], max_order: int) -> int:
-    """Count tuples (x_1..x_r) with p^(parts_i) x_i = 0 generating the whole group.
+def _generating_tuples_brute(p: int, ambient: tuple[int, ...], lam: tuple[int, ...],
+                             max_order: int) -> int:
+    """Count the tuples (x_1..x_r) in the group of type ambient, x_i of order
+    exactly p^(lam_i), that generate a subgroup of type lam.
 
-    Those tuples are exactly the images of the standard generators under
-    surjective (= bijective) endomorphisms. Organized as a DP over the subgroup
-    lattice so repeated partial spans are counted once.
+    Such a tuple spans a subgroup of order p^|lam| exactly when that subgroup
+    is the direct sum of the cyclic groups <x_i>, that is of type lam, so the
+    search tracks subgroup orders only. Organized as a DP over the subgroup
+    lattice so repeated partial spans are counted once. A span is built only
+    if its order, |sub| times the order of x modulo sub, can still end at
+    p^|lam| with the remaining orders; the last step needs the count alone.
+    ResourceLimitError past max_order elements, or when one step would try
+    more than MAX_BRUTE_JOINS (span, candidate) pairs.
     """
-    order = p ** sum(parts)
+    if max_order < 0:
+        raise DomainError(f"the brute-force cap must be >= 0, got {max_order}")
+    order = p ** sum(ambient)
     if order > max_order:
         raise ResourceLimitError(f"group order {order} exceeds brute-force cap {max_order}")
-    G = _SmallGroup(p, parts)
-    if not parts:
-        return 1
-    full_size = G.n
-    candidates = [
-        [x for x in range(G.n) if G.order_exp[x] <= a] for a in parts
-    ]
+    G = _SmallGroup(p, ambient)
+    times_p = G.times_p
+    target = p ** sum(lam)
     states: dict[frozenset, int] = {G.trivial_subgroup(): 1}
-    remaining = [math.prod(p**a for a in parts[i:]) for i in range(len(parts))]
-    for i, cand in enumerate(candidates):
-        budget = remaining[i]
+    for i, a in enumerate(lam):
+        cand = [x for x in range(G.n) if G.order_exp[x] == a]
+        if len(states) * len(cand) > MAX_BRUTE_JOINS:
+            raise ResourceLimitError(
+                f"brute-force step {i + 1} of type {lam} in type {ambient} tries"
+                f" {len(states)} x {len(cand)} pairs, more than {MAX_BRUTE_JOINS}")
+        rest = p ** sum(lam[i + 1:])
         new: dict[frozenset, int] = {}
         for sub, cnt in states.items():
-            if len(sub) * budget < full_size:
-                continue  # cannot reach the full group any more
             for x in cand:
-                t = G.join(sub, x)
-                new[t] = new.get(t, 0) + cnt
+                size, y = len(sub), x
+                while y not in sub:
+                    y, size = times_p[y], size * p
+                if size <= target <= size * rest:
+                    t = G.join(sub, x) if rest > 1 else sub  # last: count only
+                    new[t] = new.get(t, 0) + cnt
         states = new
-    for sub, cnt in states.items():
-        if len(sub) == full_size:
-            return cnt
-    return 0
+    return sum(states.values())
 
 
 def aut_order(
@@ -299,7 +305,7 @@ def aut_order(
     if via == "tuple_identity":
         return _aut_order_tuple_identity(G.p, parts)
     if via == "brute_force":
-        return _aut_order_brute(G.p, parts, max_order)
+        return _generating_tuples_brute(G.p, parts, parts, max_order)
     raise DomainError(f"unknown aut_order mode {via!r}")
 
 
@@ -312,8 +318,8 @@ def embeds(H: AbelianPGroupType, G: AbelianPGroupType) -> bool:
     """True iff H is isomorphic to a subgroup of G.
 
     Classical criterion: part-wise domination lambda_i(H) <= lambda_i(G). It is
-    verified against exhaustive subgroup search in the test suite rather than
-    assumed blindly.
+    verified against embeds_brute_force in the test suite rather than assumed
+    blindly.
     """
     if H.is_trivial:
         return True
@@ -330,16 +336,12 @@ def embeds_brute_force(
     G: AbelianPGroupType,
     max_order: int = DEFAULT_BRUTE_ORDER_CAP,
 ) -> bool:
-    """Exhaustive subgroup search for H inside G."""
+    """Whether some tuple of G generates a copy of H, by the brute-force search."""
     if H.is_trivial:
         return True
     if H.p != G.p:
         raise PrimeMismatchError(f"cannot compare a {H.p}-group with a {G.p}-group")
-    if G.order > max_order:
-        raise ResourceLimitError(f"group order {G.order} exceeds cap {max_order}")
-    model = _SmallGroup(G.p, G.lam.parts)
-    target = H.lam.parts
-    return any(model.type_of(sub) == target for sub in model.all_subgroups())
+    return _generating_tuples_brute(G.p, G.lam.parts, H.lam.parts, max_order) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +401,16 @@ def rank_d_mass(G: AbelianPGroupType, d: int) -> Fraction:
             * value_at_inverse(p, q_pochhammer(d - r + 1, d)))
 
 
+def rank_d_masses(p: int, d: int, exponent_bound: int) -> dict[tuple[int, ...], Fraction]:
+    """rank_d_mass of every type with lambda_1 <= exponent_bound and at most d
+    parts, keyed by its parts, by size and then in partitions_of order."""
+    return {
+        parts: rank_d_mass(AbelianPGroupType.of(p, parts), d)
+        for size in range(exponent_bound * d + 1)
+        for parts in partitions_of(size, max_parts=d, max_part=exponent_bound)
+    }
+
+
 def rank_d_mass_partial_sum(p: int, d: int, exponent_bound: int) -> Fraction:
     """Exact sum of rank_d_mass over all types with lambda_1 <= exponent_bound."""
-    total = rank_d_mass(AbelianPGroupType.of(p, ()), d)
-    for size in range(1, exponent_bound * d + 1):
-        for parts in partitions_of(size, max_parts=d, max_part=exponent_bound):
-            total += rank_d_mass(AbelianPGroupType.of(p, parts), d)
-    return total
+    return sum(rank_d_masses(p, d, exponent_bound).values())

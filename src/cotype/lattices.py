@@ -12,6 +12,8 @@ arithmetic is exact.
 One Hermite codec serves counting, enumeration and the sampler of
 `cotype.simulate`: `hermite_diagonals` (an index's diagonals with their basis
 counts) and `hermite_matrix` (a code decoded into the off-diagonal digits).
+The finite quotients themselves, as abelian p-groups with their subgroup and
+generating-tuple counts, belong to `cotype.groups`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .groups import generating_tuple_count
 from .primes import factorize, smallest_prime_factors, valuation
 from .zeta import _local_cotype_table
 
@@ -40,8 +41,6 @@ MAX_TALLY_RANK = 64
 MAX_TALLY_SIZE = 3 * 10**5  # on d * X
 # Tally methods: the formula, and the enumeration oracle.
 TALLY_METHODS = ("auto", "enumerate")
-# Cap on brute-force generating-tuple searches (candidate tuples examined).
-DEFAULT_TUPLE_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -502,86 +501,3 @@ def tally_cotypes(
             _tally_index_enumerated(d, n, raw)
     counts = {Cotype(k): v for k, v in raw.items() if v}
     return CotypeTally(d=d, X=X, counts=counts)
-
-
-# ---------------------------------------------------------------------------
-# Generating tuples in (Z/p^a)^d
-# ---------------------------------------------------------------------------
-
-
-def count_generating_tuples(
-    d: int,
-    p: int,
-    lam: Iterable[int],
-    method: str = "auto",
-    max_candidates: int = DEFAULT_TUPLE_CAP,
-) -> int:
-    """Number of r-tuples in (Z/p^(lam_1))^d generating a subgroup of type lam,
-    with the i-th entry of additive order exactly p^(lam_i).
-
-    method 'closed' uses the factored product formula; 'brute' enumerates the
-    candidate tuples and checks the generated subgroup's type by an element-order
-    census; 'auto' prefers brute force when it fits the budget.
-    """
-    lam = tuple(int(a) for a in lam)
-    if any(a < 1 for a in lam) or list(lam) != sorted(lam, reverse=True):
-        raise DomainError("type must be a partition with positive parts")
-    if len(lam) > d:
-        raise DomainError("type has more parts than the ambient rank")
-    if not lam:
-        return 1
-    if method == "auto":
-        try:
-            return count_generating_tuples(d, p, lam, "brute", max_candidates)
-        except ResourceLimitError:
-            return generating_tuple_count(d, p, lam)
-    if method == "closed":
-        return generating_tuple_count(d, p, lam)
-    if method != "brute":
-        raise DomainError(f"unknown method {method!r}")
-
-    a1 = lam[0]
-    mod = p**a1
-    if mod**d > max_candidates:
-        raise ResourceLimitError("ambient group too large for brute force")
-
-    # additive order of x is p^(a1 - min valuation of its entries)
-    order_exp = {
-        x: a1 - min((valuation(c, p) for c in x if c), default=a1)
-        for x in itertools.product(range(mod), repeat=d)
-    }
-    by_order: dict[int, list[tuple[int, ...]]] = {}
-    for x, e in order_exp.items():
-        by_order.setdefault(e, []).append(x)
-
-    cand_lists = [by_order.get(a, []) for a in lam]
-    work = prod(len(c) for c in cand_lists)
-    if work > max_candidates:
-        raise ResourceLimitError(f"{work} candidate tuples exceed the brute-force cap")
-
-    def add(x, y):
-        return tuple((u + v) % mod for u, v in zip(x, y))
-
-    zero = (0,) * d
-    count = 0
-    for tup in itertools.product(*cand_lists):
-        # close under the subgroup generated by the tuple
-        sub = {zero}
-        for x in tup:
-            if x in sub:
-                continue
-            t = x
-            base = list(sub)
-            while t not in sub:
-                sub.update(add(h, t) for h in base)
-                t = add(t, x)
-        # element-order census -> conjugate partition -> type
-        sizes = [sum(1 for y in sub if order_exp[y] <= i) for i in range(a1 + 1)]
-        conj = [valuation(sizes[i] // sizes[i - 1], p) for i in range(1, a1 + 1)]
-        typ = tuple(
-            sorted((sum(1 for c in conj if c >= i) for i in range(1, max(conj) + 1)),
-                   reverse=True)
-        ) if any(conj) else ()
-        if typ == lam:
-            count += 1
-    return count

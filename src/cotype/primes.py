@@ -1,14 +1,18 @@
 """Prime sieving helpers, p-adic valuation and the prime check shared by every
 entry point."""
 
+from collections import Counter
 from functools import lru_cache
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 
 from .errors import DomainError
 
 # Miller-Rabin bases that decide primality exactly below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# factorize trial-divides up to this bound, so below its square (2^20) it
+# uses trial division alone; larger cofactors go to is_prime and Pollard rho.
+_TRIAL_BOUND = 1 << 10
 
 
 @lru_cache(maxsize=8)
@@ -46,16 +50,56 @@ def valuation(n: int, p: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """The prime powers (p, e) exactly dividing n >= 1, p ascending, by trial
-    division up to the square root of the part not yet factored."""
+    """The prime powers (p, e) exactly dividing n >= 1, p ascending: trial
+    division up to the square root of the part not yet factored, or past
+    _TRIAL_BOUND, a split of that part into primes (_split_large)."""
     out, f = [], 2
     while f * f <= n:
+        if f > _TRIAL_BOUND:
+            return out + sorted(Counter(_split_large(n)).items())
         if n % f == 0:
             e = valuation(n, f)
             n //= f**e
             out.append((f, e))
         f += 1
     return out + [(n, 1)] if n > 1 else out
+
+
+def _split_large(n: int) -> list[int]:
+    """The prime factors of n > 1, with multiplicity: a prime stays whole, a
+    perfect power splits into its root, anything else by Pollard-Brent rho."""
+    if is_prime(n):
+        return [n]
+    for k in primes_upto(n.bit_length()):
+        root = _integer_root(n, k)
+        if root**k == n:
+            return _split_large(root) * k
+    g = _pollard_brent(n)
+    return _split_large(g) + _split_large(n // g)
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, not a perfect power: Brent's
+    cycle search on y -> y^2 + c mod n, c = 1, 2, ... until one splits n."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) > 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def is_prime(n: int) -> bool:

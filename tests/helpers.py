@@ -5,8 +5,9 @@ from math import gcd, prod
 
 from mpmath import mp, mpf
 
+from cotype.groups import conjugate
 from cotype.lattices import cotype_of, enumerate_hnf
-from cotype.primes import primes_upto
+from cotype.primes import primes_upto, valuation
 
 
 def det_by_permutations(rows) -> int:
@@ -32,6 +33,38 @@ def tally_by_full_enumeration(d: int, X: int) -> dict:
             ct = cotype_of(basis)
             counts[ct] = counts.get(ct, 0) + 1
     return counts
+
+
+def all_subgroups(model) -> list[frozenset]:
+    """Every subgroup of a groups._SmallGroup, by closing each known subgroup
+    under every element until nothing new appears."""
+    seen = {model.trivial_subgroup()}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in range(model.n):
+                t = model.join(sub, x)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return list(seen)
+
+
+def subgroup_type(model, sub: frozenset) -> tuple[int, ...]:
+    """Isomorphism type of a subgroup of a groups._SmallGroup from its
+    element-order census: p^(c_i) elements of order p^i over those of order
+    p^(i-1), with c the conjugate of the type."""
+    if len(sub) == 1:
+        return ()
+    conj = []
+    prev = 1
+    for i in range(1, model.parts[0] + 1):
+        cur = sum(1 for x in sub if model.order_exp[x] <= i)
+        conj.append(valuation(cur // prev, model.p))
+        prev = cur
+    return conjugate(conj)
 
 
 def snf_oracle(rows):

@@ -164,6 +164,24 @@ class TestInputContracts:
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
 
+    @pytest.mark.parametrize("emax, code", [("1", 0), ("2", 2)])
+    def test_oracle_at_a_large_prime_ends_promptly(self, emax, code):
+        # 2^61 - 1 is prime: factorizing p and p^2 must not trial-divide to sqrt
+        proc = run_cli("verify", "oracle", "--d", "2", "--p", str(2**61 - 1),
+                       "--emax", emax, timeout=20)
+        assert proc.returncode == code, proc.stderr
+
+    def test_negative_brute_force_cap_exits_1(self):
+        proc = run_cli("verify", "autorder", "--max-order", "-1", timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert "resource limit" not in proc.stderr
+
+    def test_autorder_work_cap_exits_2_promptly(self):
+        # order 128 admits F_2^7, whose search passes the work cap
+        proc = run_cli("verify", "autorder", "--max-order", "128", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
+
 
 class TestZeta:
     def test_print_local(self):

@@ -1,15 +1,32 @@
 """Tests for abelian p-group types, automorphism orders, and mass functions."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from cotype import groups as gr
 from cotype.errors import (
     DomainError,
     PrimeMismatchError,
     RankExceedsDimensionError,
+    ResourceLimitError,
 )
+
+from helpers import all_subgroups, subgroup_type
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# (p, d, lam) with an ambient (Z/p^(lam_1))^d of order p^(lam_1 d) <= 729
+TUPLE_CASES_TO_729 = [
+    (p, d, lam)
+    for p, top in ((2, 9), (3, 6), (5, 4))
+    for a in range(1, top + 1)
+    for d in range(1, top // a + 1)
+    for size in range(a, a * d + 1)
+    for lam in gr.partitions_of(size, max_parts=d, max_part=a)
+    if lam[0] == a
+]
 
 
 class TestPartitions:
@@ -56,8 +73,8 @@ class TestSubgroupCounts:
         for p, a, d in [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2)]:
             model = gr._SmallGroup(p, (a,) * d)
             found: dict = {}
-            for sub in model.all_subgroups():
-                t = model.type_of(sub)
+            for sub in all_subgroups(model):
+                t = subgroup_type(model, sub)
                 found[t] = found.get(t, 0) + 1
             for typ, count in found.items():
                 assert gr.ambient_subgroup_count(d, typ, p) == count, (p, a, d, typ)
@@ -105,10 +122,25 @@ class TestAutOrder:
                     assert gr.aut_order(G, "brute_force") == gr.aut_order(G), (p, parts)
 
     def test_brute_force_cap(self):
-        from cotype.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
             gr.aut_order(gr.AbelianPGroupType.of(2, (10,)), "brute_force", max_order=64)
+
+    def test_work_cap_refuses_promptly(self):
+        # F_2^7 is under the order cap, but its third step would try 2,667
+        # planes x 127 vectors; F_2^6 peaks at 1,395 x 63 and still runs
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            gr.aut_order(gr.AbelianPGroupType.of(2, (1,) * 7), "brute_force")
+        assert time.perf_counter() - start < 5
+        G = gr.AbelianPGroupType.of(2, (1,) * 6)
+        assert gr.aut_order(G, "brute_force") == gr.aut_order(G)
+
+    def test_negative_cap_is_bad_input(self):
+        G = gr.AbelianPGroupType.of(2, ())
+        with pytest.raises(DomainError):
+            gr.aut_order(G, "brute_force", max_order=-1)
+        with pytest.raises(DomainError):
+            gr.embeds_brute_force(gr.AbelianPGroupType.of(2, (1,)), G, max_order=-1)
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
@@ -146,6 +178,59 @@ class TestEmbedding:
                     H.lam.parts,
                     G.lam.parts,
                 )
+
+    @PROPERTY
+    @given(st.data())
+    def test_criterion_matches_brute_force_p3_order_81(self, data):
+        types = [gr.AbelianPGroupType.of(3, parts)
+                 for size in range(5) for parts in gr.partitions_of(size)]
+        H, G = data.draw(st.sampled_from(types)), data.draw(st.sampled_from(types))
+        assert gr.embeds(H, G) == gr.embeds_brute_force(H, G)
+
+
+class TestGeneratingTuples:
+    def test_rank_one_examples(self):
+        for p in (2, 3, 5):
+            assert gr.count_generating_tuples(1, p, (1,), "brute") == p - 1
+            assert gr.count_generating_tuples(1, p, (1,), "closed") == p - 1
+        assert gr.count_generating_tuples(2, 2, (1,), "brute") == 3
+        assert gr.count_generating_tuples(2, 2, (1, 1), "brute") == 6
+        assert gr.count_generating_tuples(2, 2, (1, 1), "closed") == 6
+
+    def test_brute_matches_closed_form_grid(self):
+        for p in (2, 3):
+            for d in (1, 2, 3):
+                for size in range(1, d + 1):
+                    for parts in gr.partitions_of(size, max_parts=d, max_part=2):
+                        # (Z/9)^3 has 729 elements, past the default cap of 512
+                        brute = gr.count_generating_tuples(d, p, parts, "brute",
+                                                           max_order=3**6)
+                        closed = gr.count_generating_tuples(d, p, parts, "closed")
+                        assert brute == closed, (p, d, parts)
+
+    @PROPERTY
+    @given(st.sampled_from(TUPLE_CASES_TO_729))
+    def test_brute_matches_closed_form_to_order_729(self, case):
+        p, d, lam = case
+        try:
+            brute = gr.count_generating_tuples(d, p, lam, "brute", max_order=729)
+        except ResourceLimitError:
+            reject()  # past the work cap
+        assert brute == gr.count_generating_tuples(d, p, lam, "closed")
+
+    def test_resource_limit(self):
+        with pytest.raises(ResourceLimitError):
+            gr.count_generating_tuples(3, 5, (2, 2, 2), "brute", max_order=100)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            gr.count_generating_tuples(2, 2, (1, 2))
+        with pytest.raises(DomainError):
+            gr.count_generating_tuples(1, 2, (1, 1))
+        with pytest.raises(DomainError):
+            gr.count_generating_tuples(1, 4, (1,))
+        with pytest.raises(DomainError):
+            gr.count_generating_tuples(1, 2, (1,), "auto")
 
 
 class TestCohenLenstraMass:

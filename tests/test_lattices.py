@@ -46,6 +46,15 @@ class TestEnumeration:
             for n in range(1, 201):
                 assert lat.hnf_count(d, n) == coeffs[n], (d, n)
 
+    def test_count_at_a_large_prime(self):
+        # p + 1 at p in Z^2 and the sum of p^(j + 2k) over j + k <= 2 at p^2
+        # in Z^3, with no trial division up to sqrt(p)
+        p = 2**61 - 1
+        start = time.perf_counter()
+        assert lat.hnf_count(2, p) == p + 1
+        assert lat.hnf_count(3, p**2) == 1 + p + 2 * p**2 + p**3 + p**4
+        assert time.perf_counter() - start < 5
+
     def test_stream_matches_count_and_is_unique(self):
         for d, n in [(2, 12), (3, 8), (3, 12), (4, 6)]:
             seen = set()
@@ -257,34 +266,3 @@ class TestTally:
         assert lines[1] == "alpha,corank,index,count"
         body = [ln.split(",") for ln in lines[2:]]
         assert sum(int(r[-1]) for r in body) == t.total
-
-
-class TestGeneratingTuples:
-    def test_rank_one_examples(self):
-        for p in (2, 3, 5):
-            assert lat.count_generating_tuples(1, p, (1,), "brute") == p - 1
-            assert lat.count_generating_tuples(1, p, (1,), "closed") == p - 1
-        assert lat.count_generating_tuples(2, 2, (1,), "brute") == 3
-        assert lat.count_generating_tuples(2, 2, (1, 1), "brute") == 6
-        assert lat.count_generating_tuples(2, 2, (1, 1), "closed") == 6
-
-    def test_brute_matches_closed_form_grid(self):
-        for p in (2, 3):
-            for d in (1, 2, 3):
-                for size in range(1, d + 1):
-                    from cotype.groups import partitions_of
-
-                    for parts in partitions_of(size, max_parts=d, max_part=2):
-                        brute = lat.count_generating_tuples(d, p, parts, "brute")
-                        closed = lat.count_generating_tuples(d, p, parts, "closed")
-                        assert brute == closed, (p, d, parts)
-
-    def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
-            lat.count_generating_tuples(3, 5, (2, 2, 2), "brute", max_candidates=100)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            lat.count_generating_tuples(2, 2, (1, 2))
-        with pytest.raises(DomainError):
-            lat.count_generating_tuples(1, 2, (1, 1))

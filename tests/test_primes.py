@@ -1,9 +1,13 @@
 """Tests for the sieves and the p-adic valuation."""
 
+import random
+import time
+from math import prod
+
 import pytest
 
 from cotype.errors import DomainError
-from cotype.primes import smallest_prime_factors, valuation
+from cotype.primes import factorize, is_prime, smallest_prime_factors, valuation
 
 
 def test_smallest_prime_factors_against_trial_division():
@@ -26,3 +30,32 @@ def test_valuation():
 def test_valuation_domain(n, p):
     with pytest.raises(DomainError):
         valuation(n, p)
+
+
+def test_factorize_below_2_20_against_the_sieve():
+    spf = smallest_prime_factors(1 << 20)
+    rng = random.Random(5)
+    for n in [*range(1, 3000), *(rng.randrange(1, 1 << 20) for _ in range(3000))]:
+        expected, m = {}, n
+        while m > 1:
+            expected[spf[m]] = expected.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert factorize(n) == sorted(expected.items()), n
+
+
+@pytest.mark.parametrize("n", [
+    2**61 - 1,
+    (2**61 - 1) ** 2,
+    2**10 * 3**4 * (2**61 - 1) ** 3,
+    (2**31 - 1) * (2**61 - 1),
+    1000003 * 1000033,
+    1031**5 * 1033,
+    4294967279 * 4294967291,
+])
+def test_factorize_large_cofactors(n):
+    start = time.perf_counter()
+    out = factorize(n)
+    assert time.perf_counter() - start < 5
+    assert prod(p**e for p, e in out) == n
+    assert all(is_prime(p) and e > 0 for p, e in out)
+    assert [p for p, _ in out] == sorted({p for p, _ in out})
