@@ -5,14 +5,19 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt
+from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 # Miller-Rabin bases that decide primality exactly below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # factorize trial-divides up to this bound, so below its square (2^20) it
 # uses trial division alone; larger cofactors go to is_prime and Pollard rho.
 _TRIAL_BOUND = 1 << 10
+# The Pollard rho steps one factorize may take, about 1 s at 2 us a step. Rho
+# finds a prime factor p in about sqrt(p) steps, so every prime factor but the
+# largest must stay below about 2^36.
+_RHO_STEPS = 1 << 19
 
 
 @lru_cache(maxsize=8)
@@ -52,11 +57,13 @@ def valuation(n: int, p: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """The prime powers (p, e) exactly dividing n >= 1, p ascending: trial
     division up to the square root of the part not yet factored, or past
-    _TRIAL_BOUND, a split of that part into primes (_split_large)."""
+    _TRIAL_BOUND, a split of that part into primes (_split_large) within
+    _RHO_STEPS steps of Pollard rho, or ResourceLimitError."""
     out, f = [], 2
     while f * f <= n:
         if f > _TRIAL_BOUND:
-            return out + sorted(Counter(_split_large(n)).items())
+            steps = iter(range(_RHO_STEPS))
+            return out + sorted(Counter(_split_large(n, steps)).items())
         if n % f == 0:
             e = valuation(n, f)
             n //= f**e
@@ -65,17 +72,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out + [(n, 1)] if n > 1 else out
 
 
-def _split_large(n: int) -> list[int]:
+def _split_large(n: int, steps: Iterator[int]) -> list[int]:
     """The prime factors of n > 1, with multiplicity: a prime stays whole, a
-    perfect power splits into its root, anything else by Pollard-Brent rho."""
+    perfect power splits into its root, anything else by Pollard-Brent rho,
+    each rho step taken from steps."""
     if is_prime(n):
         return [n]
     for k in primes_upto(n.bit_length()):
         root = _integer_root(n, k)
         if root**k == n:
-            return _split_large(root) * k
-    g = _pollard_brent(n)
-    return _split_large(g) + _split_large(n // g)
+            return _split_large(root, steps) * k
+    g = _pollard_brent(n, steps)
+    return _split_large(g, steps) + _split_large(n // g, steps)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -86,14 +94,18 @@ def _integer_root(n: int, k: int) -> int:
     return r
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, steps: Iterator[int]) -> int:
     """A proper factor of the odd composite n, not a perfect power: Brent's
-    cycle search on y -> y^2 + c mod n, c = 1, 2, ... until one splits n."""
+    cycle search on y -> y^2 + c mod n, c = 1, 2, ... until one splits n;
+    ResourceLimitError once steps runs out."""
     for c in count(1):
         y, r, g = 2, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
+                if next(steps, None) is None:
+                    raise ResourceLimitError(
+                        f"factoring {n} needs more than {_RHO_STEPS} Pollard rho steps")
                 y = (y * y + c) % n
                 if (g := gcd(x - y, n)) > 1:
                     break

@@ -239,23 +239,39 @@ def q_factorial(n: int) -> IntPolynomial:
 def q_binomial(n: int, k: int) -> IntPolynomial:
     """Gaussian binomial [n choose k]_q; zero outside 0 <= k <= n.
 
-    Computed as the q-factorial quotient; the divisions must be exact, and an
-    ArithmeticError here signals a bug in the polynomial arithmetic.
+    Built as prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) with k = min(k, n-k). The
+    product up to i is [n-k+i choose i]_q, so each division by 1 - q^i is exact:
+    it runs as b_t = a_t + b_(t-i), and an ArithmeticError signals a bug.
     """
     if n < 0:
         raise DomainError("q_binomial requires n >= 0")
     if k < 0 or k > n:
         return ZERO
-    return q_factorial(n).exact_div(q_factorial(k)).exact_div(q_factorial(n - k))
+    k = min(k, n - k)
+    c = [1]
+    for i in range(1, k + 1):
+        j = n - k + i
+        c = [a - b for a, b in zip(c + [0] * j, [0] * j + c)]
+        for t in range(i, len(c)):
+            c[t] += c[t - i]
+        if any(c[-i:]):
+            raise ArithmeticError(f"[{n} choose {k}]_q: 1 - q^{i} left a remainder")
+        del c[-i:]
+    return IntPolynomial(c)
 
 
 def q_multinomial(parts: Iterable[int]) -> IntPolynomial:
     """q-multinomial of (m1,...,mk): [m1+...+mk]_q! / ([m1]_q! ... [mk]_q!).
 
     Evaluated by the telescoping product of Gaussian binomials, so no division is
-    performed. Zero parts are allowed and contribute nothing.
+    performed, and memoized on the tuple of parts. Zero parts are allowed and
+    contribute nothing.
     """
-    ms = list(parts)
+    return _q_multinomial(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _q_multinomial(ms: tuple[int, ...]) -> IntPolynomial:
     if not ms:
         raise DomainError("q_multinomial requires at least one part")
     if any(m < 0 for m in ms):

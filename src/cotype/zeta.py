@@ -8,10 +8,10 @@ z_j = s_1 + ... + s_j - j(d-j). Everything identity-shaped is evaluated in exact
 rational arithmetic.
 
 The four Euler products share one engine, fed each local factor as an exact
-ratio of polynomials in q = 1/p. It multiplies the primes p <= 128 at 113-bit
-precision from their exact local values, and the primes in (128, cutoff] as
-exp(sum_k c_k S_k): c_k are the exact coefficients of log(local factor), and
-S_k = sum_p p^-k are 160-bit fixed-point sums. value is the truncated product;
+ratio of polynomials in q = 1/p, on integers in 160-bit fixed point: the
+primes in (128, cutoff] enter as exp(sum_k c_k S_k), c_k the exact coefficients
+of log(local factor) and S_k = sum_p p^-k, and the primes p <= 128 as their
+exact local values. value is the truncated product, rounded once to float;
 tail_bound covers the missing primes and the engine's numeric error.
 """
 
@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import mp, mpf
 
 from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
 from .groups import Partition, ambient_subgroup_count, partitions_of
@@ -41,13 +39,12 @@ from .qcomb import (
 
 # The numerator of the local factor has 2^(d-1) terms.
 DEFAULT_LOCAL_FACTOR_CAP = 12
-# Euler products: working precision in bits; the primes multiplied directly
-# (up to a power of two, P0); fixed-point bits of the power sums of p^-k (47
-# guard bits); the log-series order K, past which p^-k < 2^-_FIXED_BITS for
-# every p > P0, so that every fixed-point power sum past K is exactly 0.
-_EULER_PREC = 113
+# Euler products: the primes multiplied directly (up to a power of two, P0);
+# the fixed-point bits of every integer in the engine; the log-series order K,
+# past which p^-k < 2^-_FIXED_BITS for every p > P0, so that every fixed-point
+# power sum past K is exactly 0.
 _DIRECT_UPTO = 2**7
-_FIXED_BITS = _EULER_PREC + 47
+_FIXED_BITS = 160
 _LOG_TERMS = _FIXED_BITS // (_DIRECT_UPTO.bit_length() - 1)
 
 
@@ -278,8 +275,8 @@ class EulerProductValue:
     infinite product. In log space, the bound adds: the missing primes, at most
     2 C cutoff^(1-e) / (e-1) from a per-formula C and e with |log local(p)| <=
     C p^-e for p > cutoff; any truncation of the local factor itself; and the
-    engine's numeric error (log series cut after 22 terms, fixed-point floors,
-    113-bit roundings, rounding to float).
+    engine's numeric error (log series cut after 22 terms, floors at 2^-160,
+    one rounding to float).
     """
 
     value: float
@@ -334,11 +331,23 @@ def _power_sums(cutoff: int) -> tuple[int, tuple[int, ...]]:
     return len(ps), tuple(sums)
 
 
+def _fixed_exp(x: int) -> tuple[int, int]:
+    """(E, err) with |E - 2^F exp(x / 2^F)| <= err, F = _FIXED_BITS: the Taylor
+    series, each term floored. For |x| <= 2^(F-1) a term's error enters the next
+    times at most 1/2, so each is off by under 2, and the rest by under 1."""
+    if 2 * abs(x) > 1 << _FIXED_BITS:
+        raise ArithmeticError(f"exp needs |x| <= 1/2, got {x / 2**_FIXED_BITS}")
+    terms = [1 << _FIXED_BITS]
+    while terms[-1]:
+        terms.append(terms[-1] * abs(x) // (len(terms) << _FIXED_BITS))
+    return sum(-t if x < 0 and j % 2 else t for j, t in enumerate(terms)), 2 * len(terms)
+
+
 def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
                    extra_log_tail: float = 0.0) -> EulerProductValue:
-    """prod_{p <= cutoff} num(1/p) / den(1/p): the primes p <= _DIRECT_UPTO
-    directly, the rest as exp(sum_k c_k S_k), where log(num/den) = sum_k c_k q^k
-    exactly and S_k = sum_p p^-k."""
+    """prod_{p <= cutoff} num(1/p) / den(1/p) in fixed point: exp(sum_k c_k S_k)
+    for the primes past _DIRECT_UPTO, where log(num/den) = sum_k c_k q^k exactly
+    and S_k = sum_p p^-k, times the exact value at each prime up to it."""
     if cutoff < 2:
         raise DomainError("prime cutoff must be at least 2")
     num, den = factor
@@ -346,14 +355,14 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     n_series, sums = _power_sums(cutoff)
     n_direct = len(primes) - n_series
     b = [x - y for x, y in zip(_log_series(num), _log_series(den))]
-    log_sum = sum(Fraction(b[k] * sums[k], k) for k in range(1, _LOG_TERMS + 1))
-    log_sum /= 1 << _FIXED_BITS
-    with mp.workprec(_EULER_PREC):
-        acc = mpf(1)
-        for p in primes[:n_direct]:
-            v = value_at_inverse(p, *factor)
-            acc *= mpf(v.numerator) / v.denominator
-        value = float(acc * mp.exp(mpf(log_sum.numerator) / log_sum.denominator))
+    log_sum = sum(Fraction(b[k] * sums[k], k) for k in range(1, len(b)))  # sums are 2^F S_k
+    acc, err = _fixed_exp(math.floor(log_sum))
+    low = acc - err
+    for p in primes[:n_direct]:
+        v = value_at_inverse(p, *factor)
+        acc = acc * v.numerator // v.denominator
+        low = min(low, acc)
+    value = acc / (1 << _FIXED_BITS)  # correctly rounded
 
     # Numeric error in log space. |b_k| <= deg(f) R^k for each f with R its root
     # bound, and S_k <= P0^(1-k) / (k-1), so the log series past K adds at most
@@ -364,8 +373,9 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     truncation = (num.degree + den.degree) * _DIRECT_UPTO * r ** (K + 1) / (
         K * (K + 1) * (1 - r)) if n_series else 0.0
     floors = n_series * sum(abs(b[k]) / k for k in range(1, K + 1)) * 2.0**-_FIXED_BITS
-    # three 113-bit roundings per direct prime, a few around exp, then to float
-    rounding = (3 * n_direct + 4 + abs(float(log_sum))) * 2.0 ** (1 - _EULER_PREC) + 2.0**-53
+    # floors at 2^-F: exp's argument (2^-F), then err units of exp and a unit per
+    # direct prime, each under 1 / low in log space; then the rounding to float
+    rounding = 2.0**-_FIXED_BITS + (err + n_direct) / low + 2.0**-53
     log_tail = (2.0 * tail_c * cutoff ** (1 - tail_e) / (tail_e - 1) + extra_log_tail
                 + truncation + floors + rounding)
     return EulerProductValue(value, cutoff, abs(value) * math.expm1(log_tail))

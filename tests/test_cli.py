@@ -183,6 +183,22 @@ class TestInputContracts:
         assert "resource limit" in proc.stderr
 
 
+def test_runs_without_mpmath():
+    # mpmath is a test-only oracle: blocking its import must change no output
+    script = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from cotype import cli",
+        "assert cli.main(['density', '-d', '30', '-m', '1']) == 0",
+        "cli.main(['--version'])",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    expected = run_cli("density", "-d", "30", "-m", "1", timeout=60).stdout
+    assert proc.stdout == expected + run_cli("--version", timeout=60).stdout
+
+
 class TestZeta:
     def test_print_local(self):
         proc = run_cli("zeta", "-d", "2", "print-local")

@@ -6,7 +6,8 @@ from math import prod
 
 import pytest
 
-from cotype.errors import DomainError
+from cotype.errors import DomainError, ResourceLimitError
+from cotype.lattices import hnf_count
 from cotype.primes import factorize, is_prime, smallest_prime_factors, valuation
 
 
@@ -59,3 +60,14 @@ def test_factorize_large_cofactors(n):
     assert prod(p**e for p, e in out) == n
     assert all(is_prime(p) and e > 0 for p, e in out)
     assert [p for p, _ in out] == sorted({p for p, _ in out})
+
+
+@pytest.mark.parametrize("count", [factorize, lambda n: hnf_count(2, n)],
+                         ids=["factorize", "hnf_count"])
+def test_factorize_refuses_two_large_primes_promptly(count):
+    # splitting this product of a 61-bit and a 59-bit prime needs ~2^29.5 rho steps
+    n = (2**61 - 1) * (2**59 - 55)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count(n)
+    assert time.perf_counter() - start < 5

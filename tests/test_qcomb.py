@@ -81,6 +81,14 @@ class TestQBasics:
             for k in range(n + 1):
                 assert qc.q_binomial(n, k) == qc.q_binomial(n, n - k)
 
+    def test_q_binomial_satisfies_q_pascal_to_40(self):
+        # [n,k] = [n-1,k-1] + q^k [n-1,k], with [n,0] = [n,n] = 1
+        for n in range(41):
+            assert qc.q_binomial(n, 0) == qc.q_binomial(n, n) == qc.ONE
+            for k in range(1, n):
+                assert qc.q_binomial(n, k) == (
+                    qc.q_binomial(n - 1, k - 1) + qc.q_binomial(n - 1, k).shifted(k)), (n, k)
+
     def test_q_multinomial(self):
         assert qc.q_multinomial([7]) == qc.ONE
         assert qc.q_multinomial([1, 1]) == qc.q_binomial(2, 1)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, zeta as mp_zeta
 
 from cotype import lattices as lat
@@ -304,6 +304,27 @@ class TestEngineAgainstDirectProduct:
                     residue *= zt.corank_local_factor_at_pole(d, m, p)
                 assert zt.corank_density(d, m, 127).value == float(density)
                 assert zt.corank_zeta_residue(d, m, 127).value == float(residue)
+
+
+class TestFixedExp:
+    HALF = 1 << (zt._FIXED_BITS - 1)
+
+    @PROPERTY
+    @given(st.integers(-HALF, HALF))
+    @example(HALF)
+    @example(-HALF)
+    @example(0)
+    @example(-1)
+    def test_within_its_error_of_exp(self, x):
+        E, err = zt._fixed_exp(x)
+        with mp.workprec(2 * zt._FIXED_BITS):
+            assert abs(E - mp.exp(mpf(x) / (2 * self.HALF)) * 2 * self.HALF) <= err
+
+    @pytest.mark.parametrize("x", [HALF + 1, -HALF - 1, HALF << 20],
+                             ids=["above", "below", "far_above"])
+    def test_refuses_arguments_past_one_half(self, x):
+        with pytest.raises(ArithmeticError):
+            zt._fixed_exp(x)
 
 
 def _log_coefficients(num, den, terms: int) -> list[Fraction]:
