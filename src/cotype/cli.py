@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -186,9 +187,7 @@ def _suite_descent(args) -> list[CaseResult]:
                 continue
             out.append(CaseResult(name, True))
             total_at_one += a(1)
-        fact = 1
-        for i in range(2, d + 1):
-            fact *= i
+        fact = math.factorial(d)
         out.append(CaseResult(f"sum over lambda of w(d={d})(1) == {d}!",
                               total_at_one == fact,
                               "" if total_at_one == fact else f"got {total_at_one}"))
@@ -293,18 +292,14 @@ def _type_theory(d: int, p: int, exponent_cap: int) -> dict[str, Fraction]:
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
-    if args.model == "matrix":
-        if args.k is None:
-            raise DomainError("the matrix model needs -k")
-        cfg = SampleConfig(d=args.d, trials=args.n, master_seed=args.seed,
-                           p=args.p, entry_bound=args.k, exhaustive=args.exhaustive)
-        result = run_matrix_model(cfg)
-    else:
-        if args.X is None:
-            raise DomainError("the sublattice model needs -X")
-        cfg = SampleConfig(d=args.d, trials=args.n, master_seed=args.seed,
-                           p=args.p, index_bound=args.X)
-        result = run_sublattice_model(cfg)
+    matrix = args.model == "matrix"
+    if (args.k if matrix else args.X) is None:
+        raise DomainError(f"the {args.model} model needs {'-k' if matrix else '-X'}")
+    cfg = SampleConfig(d=args.d, trials=args.n, master_seed=args.seed, p=args.p,
+                       entry_bound=args.k if matrix else None,
+                       index_bound=None if matrix else args.X,
+                       exhaustive=args.exhaustive)
+    result = (run_matrix_model if matrix else run_sublattice_model)(cfg)
 
     rank_theory = _rank_theory(args.d, args.p)
     rank_cmp = compare_to_theory(result.rank_table, rank_theory, args.z_threshold)

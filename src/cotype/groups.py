@@ -409,8 +409,3 @@ def rank_d_masses(p: int, d: int, exponent_bound: int) -> dict[tuple[int, ...], 
         for size in range(exponent_bound * d + 1)
         for parts in partitions_of(size, max_parts=d, max_part=exponent_bound)
     }
-
-
-def rank_d_mass_partial_sum(p: int, d: int, exponent_bound: int) -> Fraction:
-    """Exact sum of rank_d_mass over all types with lambda_1 <= exponent_bound."""
-    return sum(rank_d_masses(p, d, exponent_bound).values())

@@ -12,6 +12,8 @@ arithmetic is exact.
 One Hermite codec serves counting, enumeration and the sampler of
 `cotype.simulate`: `hermite_diagonals` (an index's diagonals with their basis
 counts) and `hermite_matrix` (a code decoded into the off-diagonal digits).
+One Smith reduction, `smith_normal_form`, serves `cotype_of`, the enumeration
+oracle and both Monte Carlo models of `cotype.simulate`.
 The finite quotients themselves, as abelian p-groups with their subgroup and
 generating-tuple counts, belong to `cotype.groups`.
 """
@@ -144,9 +146,13 @@ class SmithForm:
         return len(self.diag)
 
 
-def _smith_diagonal(m: list[list[int]]) -> tuple[list[int], int]:
-    """In-place Smith reduction; returns (positive invariant factors, free rank)."""
+def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
+    """Smith Normal Form invariants of a square integer matrix (any rank): the
+    one Smith reduction of the package, pivoting on the smallest entry."""
+    m = [list(map(int, row)) for row in matrix]
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise DomainError("smith_normal_form expects a square matrix")
     diag: list[int] = []
     for k in range(n):
         # Pick the smallest-magnitude nonzero entry of the trailing block as pivot.
@@ -214,16 +220,6 @@ def _smith_diagonal(m: list[list[int]]) -> tuple[list[int], int]:
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
-    return diag, free_rank
-
-
-def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
-    """Smith Normal Form invariants of a square integer matrix (any rank)."""
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DomainError("smith_normal_form expects a square matrix")
-    diag, free_rank = _smith_diagonal(m)
     return SmithForm(tuple(diag), free_rank)
 
 
@@ -364,8 +360,8 @@ def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) 
         core_count = _basis_count(core)
         mult = count // core_count
         for code in range(core_count):
-            inv, _ = _smith_diagonal(hermite_matrix(core, code))
-            key = tuple(reversed(inv)) + pad
+            sf = smith_normal_form(hermite_matrix(core, code))
+            key = tuple(reversed(sf.diag)) + pad
             counts[key] = counts.get(key, 0) + mult
 
 

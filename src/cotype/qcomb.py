@@ -18,6 +18,8 @@ from .errors import CapExceededError, DomainError
 
 # Factorial-time permutation enumeration is gated behind this cap.
 DEFAULT_PERMUTATION_CAP = 9
+# The inclusion-exclusion table holds 2^(d-1) polynomials of degree < d^2/2.
+MAX_DESCENT_TABLE_DIM = 14
 
 
 class IntPolynomial:
@@ -321,12 +323,6 @@ class DescentSet:
         ext = (self.d,) + self.elements + (0,)
         return tuple(ext[i] - ext[i + 1] for i in range(len(ext) - 1))
 
-    def subsets(self) -> Iterator["DescentSet"]:
-        """All sub-descent-sets, the empty one first."""
-        for r in range(len(self.elements) + 1):
-            for combo in itertools.combinations(self.elements, r):
-                yield DescentSet(self.d, combo)
-
 
 def subset_gap_multinomial(d: int, elements: Iterable[int]) -> IntPolynomial:
     """The subset binomial of lambda inside {1,...,d}: q-multinomial of its gaps.
@@ -383,13 +379,31 @@ def inversions(pi: Permutation) -> int:
 
 
 def descent_poly_inclusion_exclusion(lam: DescentSet) -> IntPolynomial:
-    """w(d, lambda) as the alternating sum over mu <= lambda of subset binomials."""
-    total = ZERO
-    k = len(lam)
-    for mu in lam.subsets():
-        term = q_binom_subset(mu)
-        total = total + (term if (k - len(mu)) % 2 == 0 else -term)
-    return total
+    """w(d, lambda) as the alternating sum over mu <= lambda of subset binomials,
+    read from the table of every descent set of its d."""
+    if lam.d > MAX_DESCENT_TABLE_DIM:
+        raise CapExceededError(f"the descent table is capped at d <= {MAX_DESCENT_TABLE_DIM}")
+    return _descent_polys_from_subsets(lam.d)[frozenset(lam.elements)]
+
+
+@lru_cache(maxsize=None)
+def _descent_polys_from_subsets(d: int) -> dict[frozenset, IntPolynomial]:
+    """Map from descent set (as frozenset) to w(d, lambda): the subset binomial
+    of every subset of {1,...,d-1} (bit i-1 of a mask marks i), Moebius-inverted
+    in place one element at a time, (d-1) 2^(d-2) subtractions in all."""
+    n = d - 1
+    subsets = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    width = d * (d - 1) // 2 + 1  # the subset binomials have degree < width
+    table = []
+    for mu in subsets:
+        coeffs = subset_gap_multinomial(d, mu).coeffs
+        table.append(list(coeffs) + [0] * (width - len(coeffs)))
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                table[mask] = [a - b for a, b in zip(table[mask], table[mask ^ bit])]
+    return {frozenset(mu): IntPolynomial(c) for mu, c in zip(subsets, table)}
 
 
 @lru_cache(maxsize=None)

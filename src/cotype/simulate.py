@@ -1,14 +1,17 @@
 """Monte Carlo laboratory for cokernel distributions.
 
-Two sampling models: random integer matrices with entries uniform in [-k, k]
-(cokernel via Smith reduction, p-Sylow type extracted per prime), and uniform
-random sublattices of index < X (drawn exactly, without materializing the
-sublattice list). Empirical tables are compared against the exact predictions
-from `cotype.zeta` and `cotype.groups` with binomial z-score bands.
+One pipeline serves two sampling models: each trial draws an integer matrix,
+takes its Smith form (`lattices.smith_normal_form`) and tallies the p-Sylow
+type and the p-rank of the cokernel. The matrix model draws entries uniform in
+[-k, k], or visits every such matrix in exhaustive mode; the sublattice model
+draws the Hermite basis of a uniformly random sublattice of index < X, exactly,
+without materializing the sublattice list. Empirical tables are compared
+against the exact predictions from `cotype.zeta` and `cotype.groups` with
+binomial z-score bands.
 
 Reproducibility: each trial gets its own generator seeded from
-sha256(master_seed, trial_index), so results are a pure function of the
-configuration no matter how trials are partitioned across workers.
+sha256(master_seed, trial_index), so a run is a pure function of its
+configuration.
 """
 
 from __future__ import annotations
@@ -19,20 +22,20 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, LabelMismatchError, ResourceLimitError
 from .groups import AbelianPGroupType, embeds
 from .lattices import (
-    Cotype,
     HermiteBasis,
     SmithForm,
-    _smith_diagonal,
     hermite_diagonals,
     hermite_matrix,
     p_part,
+    smith_normal_form,
     tally_cotypes,
 )
 from .primes import require_prime
@@ -43,6 +46,9 @@ OTHER_LABEL = "other"
 
 # Exhaustive mode must visit (2k+1)^(d^2) matrices; cap that.
 DEFAULT_EXHAUSTIVE_CAP = 10**6
+# The Smith reduction's entries blow up with d: three trials at d = 9 and
+# k = 1000 take seconds, at d = 10 over a minute.
+MAX_MATRIX_DIM = 8
 # Uniform-sublattice sampling materializes per-index weight tables lazily.
 DEFAULT_SUBLATTICE_DIM_CAP = 3
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
@@ -76,21 +82,15 @@ class SampleConfig:
             raise DomainError("trials must be >= 1")
         if (self.entry_bound is None) == (self.index_bound is None):
             raise DomainError("set exactly one of entry_bound or index_bound")
+        if self.exhaustive and self.entry_bound is None:
+            raise DomainError("exhaustive mode needs entry_bound (the matrix model)")
         if self.entry_bound is not None and self.entry_bound < 1:
             raise DomainError("entry bound k must be >= 1")
         if self.index_bound is not None and self.index_bound < 2:
             raise DomainError("index bound X must be >= 2")
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "p": self.p,
-            "entry_bound": self.entry_bound,
-            "index_bound": self.index_bound,
-            "exhaustive": self.exhaustive,
-        }
+        return asdict(self)
 
 
 def _trial_rng(master_seed: int, trial: int) -> random.Random:
@@ -104,15 +104,6 @@ class EmpiricalTable:
 
     counts: dict[str, int]
     trials: int
-
-    def freq(self, label: str) -> Fraction:
-        return Fraction(self.counts.get(label, 0), self.trials)
-
-    def merge(self, other: "EmpiricalTable") -> "EmpiricalTable":
-        counts = dict(self.counts)
-        for k, v in other.counts.items():
-            counts[k] = counts.get(k, 0) + v
-        return EmpiricalTable(counts, self.trials + other.trials)
 
     def bucketed(self, keep: Iterable[str], other_label: str = OTHER_LABEL
                  ) -> "EmpiricalTable":
@@ -139,97 +130,7 @@ class EmpiricalTable:
 
 
 # ---------------------------------------------------------------------------
-# Matrix model
-# ---------------------------------------------------------------------------
-
-
-def _smith_of(entries: list[list[int]]) -> SmithForm:
-    diag, free = _smith_diagonal(entries)
-    return SmithForm(tuple(diag), free)
-
-
-def _matrix_entries(cfg: SampleConfig, trial: int) -> list[list[int]]:
-    rng = _trial_rng(cfg.master_seed, trial)
-    k, d = cfg.entry_bound, cfg.d
-    return [[rng.randint(-k, k) for _ in range(d)] for _ in range(d)]
-
-
-def _all_matrices(d: int, k: int, cap: int) -> Iterator[list[list[int]]]:
-    total = (2 * k + 1) ** (d * d)
-    if total > cap:
-        raise ResourceLimitError(f"exhaustive mode needs {total} matrices; cap {cap}")
-    for flat in itertools.product(range(-k, k + 1), repeat=d * d):
-        yield [list(flat[i * d : (i + 1) * d]) for i in range(d)]
-
-
-def _matrices(cfg: SampleConfig, start: int = 0, stop: int | None = None
-              ) -> Iterator[list[list[int]]]:
-    """The matrices of trials [start, stop), or every matrix in exhaustive mode."""
-    if cfg.entry_bound is None:
-        raise DomainError("the matrix model needs entry_bound")
-    if cfg.exhaustive:
-        return _all_matrices(cfg.d, cfg.entry_bound, DEFAULT_EXHAUSTIVE_CAP)
-    stop = cfg.trials if stop is None else min(stop, cfg.trials)
-    return (_matrix_entries(cfg, t) for t in range(start, stop))
-
-
-def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
-    """Stream (SmithForm, p-Sylow type) per trial of the matrix model.
-
-    Singular draws are not an error: they carry free_rank > 0 and their p-Sylow
-    type refers to the torsion part only.
-    """
-    for m in _matrices(cfg):
-        sf = _smith_of(m)
-        yield sf, p_part(reversed(sf.diag), cfg.p)
-
-
-@dataclass
-class MatrixModelResult:
-    """Tallies of one matrix-model run: p-Sylow types and p-ranks."""
-
-    config: SampleConfig
-    type_table: EmpiricalTable
-    rank_table: EmpiricalTable
-
-    def rank_at_most_freq(self, m: int) -> Fraction:
-        c = sum(
-            self.rank_table.counts.get(rank_label(r), 0) for r in range(m + 1)
-        )
-        return Fraction(c, self.rank_table.trials)
-
-
-def run_matrix_model(
-    cfg: SampleConfig, start: int = 0, stop: int | None = None
-) -> MatrixModelResult:
-    """Tally the matrix model over trials [start, stop).
-
-    The p-rank observable is d - rank of the matrix over F_p, read off the Smith
-    invariants as #{s_i divisible by p} plus the free rank.
-    """
-    d, p = cfg.d, cfg.p
-    type_counts: dict[str, int] = {}
-    rank_counts = {rank_label(r): 0 for r in range(d + 1)}
-    n = 0
-    for m in _matrices(cfg, start, stop):
-        sf = _smith_of(m)
-        p_rank = sf.free_rank + sum(1 for s in sf.diag if s % p == 0)
-        rank_counts[rank_label(p_rank)] += 1
-        if sf.free_rank:
-            label = FREE_LABEL
-        else:
-            label = type_label(p_part(reversed(sf.diag), p))
-        type_counts[label] = type_counts.get(label, 0) + 1
-        n += 1
-    return MatrixModelResult(
-        config=cfg,
-        type_table=EmpiricalTable(type_counts, n),
-        rank_table=EmpiricalTable(rank_counts, n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Uniform-sublattice model
+# One pipeline: draw a matrix, take its Smith form, tally the cokernel
 # ---------------------------------------------------------------------------
 
 
@@ -243,14 +144,13 @@ class SublatticeSampler:
     (`lattices.hermite_matrix`). No rejection, no materialized list.
     """
 
-    def __init__(self, d: int, X: int,
-                 dim_cap: int = DEFAULT_SUBLATTICE_DIM_CAP,
-                 index_cap: int = DEFAULT_SUBLATTICE_INDEX_CAP):
+    def __init__(self, d: int, X: int):
         if d < 1 or X < 2:
             raise DomainError("need d >= 1 and X >= 2")
-        if d > dim_cap or X > index_cap:
+        if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
             raise ResourceLimitError(
-                f"uniform sublattice sampling capped at d <= {dim_cap}, X <= {index_cap}"
+                f"uniform sublattice sampling capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
+                f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
             )
         self.d, self.X = d, X
         # cumulative counts: _cum[n] = N_d(n+1)
@@ -273,40 +173,86 @@ class SublatticeSampler:
         return self.basis_at(rng.randrange(self.total))
 
 
-def sample_uniform_sublattice(cfg: SampleConfig) -> Iterator[Cotype]:
-    """Stream the cotype of a uniformly random sublattice of index < X per trial."""
-    if cfg.index_bound is None:
-        raise DomainError("the sublattice model needs index_bound")
-    sampler = SublatticeSampler(cfg.d, cfg.index_bound)
-    for trial in range(cfg.trials):
-        basis = sampler.sample(_trial_rng(cfg.master_seed, trial))
-        inv, _ = _smith_diagonal(basis.matrix())
-        yield Cotype(tuple(reversed(inv)))
+def _matrices(cfg: SampleConfig) -> Iterator[Sequence[Sequence[int]]]:
+    """One integer matrix per trial: the Hermite basis of a uniform sublattice
+    of index < X, or entries uniform in [-k, k], or in exhaustive mode every
+    matrix with entries in [-k, k]. Caps are checked before the first draw."""
+    d, k = cfg.d, cfg.entry_bound
+    if cfg.index_bound is not None:
+        sampler = SublatticeSampler(d, cfg.index_bound)
+        draw = lambda rng: sampler.sample(rng).rows
+    elif d > MAX_MATRIX_DIM:
+        raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
+    elif cfg.exhaustive:
+        total = (2 * k + 1) ** (d * d)
+        if total > DEFAULT_EXHAUSTIVE_CAP:
+            raise ResourceLimitError(
+                f"exhaustive mode needs {total} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
+        return ([list(flat[i * d : (i + 1) * d]) for i in range(d)]
+                for flat in itertools.product(range(-k, k + 1), repeat=d * d))
+    else:
+        # randrange(-k, k + 1) is randint(-k, k) without its extra call.
+        draw = lambda rng: [[rng.randrange(-k, k + 1) for _ in range(d)] for _ in range(d)]
+    return (draw(_trial_rng(cfg.master_seed, t)) for t in range(cfg.trials))
+
+
+def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
+    """Stream (SmithForm, p-Sylow type) per trial of either model.
+
+    Singular draws are not an error: they carry free_rank > 0 and their p-Sylow
+    type refers to the torsion part only.
+    """
+    for m in _matrices(cfg):
+        sf = smith_normal_form(m)
+        yield sf, p_part(reversed(sf.diag), cfg.p)
 
 
 @dataclass
-class SublatticeModelResult:
+class ModelResult:
+    """Tallies of one run of either model: p-Sylow types and p-ranks."""
+
     config: SampleConfig
     type_table: EmpiricalTable
     rank_table: EmpiricalTable
 
+    def rank_at_most_freq(self, m: int) -> Fraction:
+        c = sum(
+            self.rank_table.counts.get(rank_label(r), 0) for r in range(m + 1)
+        )
+        return Fraction(c, self.rank_table.trials)
 
-def run_sublattice_model(cfg: SampleConfig) -> SublatticeModelResult:
-    """Tally p-Sylow types and p-ranks of Z^d / Lambda over uniform draws."""
-    p, d = cfg.p, cfg.d
-    type_counts: dict[str, int] = {}
-    rank_counts = {rank_label(r): 0 for r in range(d + 1)}
-    n = 0
-    for ct in sample_uniform_sublattice(cfg):
-        parts = ct.p_part(p)
-        type_counts[type_label(parts)] = type_counts.get(type_label(parts), 0) + 1
-        rank_counts[rank_label(len(parts))] += 1
-        n += 1
-    return SublatticeModelResult(
+
+def _tally(cfg: SampleConfig) -> ModelResult:
+    """Tally the cokernels of every trial, labelled once at the end. The p-rank
+    is d minus the rank over F_p: the free rank plus the number of invariant
+    factors divisible by p. A singular draw's type is its free part."""
+    ranks: Counter = Counter()
+    types: Counter = Counter()
+    for sf, parts in sample_cokernel_type(cfg):
+        ranks[sf.free_rank + len(parts)] += 1
+        types[None if sf.free_rank else parts] += 1
+    n = sum(ranks.values())
+    type_counts = {FREE_LABEL if t is None else type_label(t): c for t, c in types.items()}
+    rank_counts = {rank_label(r): ranks[r] for r in range(cfg.d + 1)}
+    return ModelResult(
         config=cfg,
         type_table=EmpiricalTable(type_counts, n),
         rank_table=EmpiricalTable(rank_counts, n),
     )
+
+
+def run_matrix_model(cfg: SampleConfig) -> ModelResult:
+    """Tally the cokernels of random (or, exhaustively, all) integer matrices."""
+    if cfg.entry_bound is None:
+        raise DomainError("the matrix model needs entry_bound")
+    return _tally(cfg)
+
+
+def run_sublattice_model(cfg: SampleConfig) -> ModelResult:
+    """Tally the quotients Z^d / Lambda over uniform sublattices of index < X."""
+    if cfg.index_bound is None:
+        raise DomainError("the sublattice model needs index_bound")
+    return _tally(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotype import cli
 from cotype.zeta import dirichlet_coefficients_upto
@@ -181,6 +182,65 @@ class TestInputContracts:
         proc = run_cli("verify", "autorder", "--max-order", "128", timeout=20)
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
+
+    def test_matrix_dimension_cap_exits_2_promptly(self):
+        proc = run_cli("simulate", "matrix", "-d", "12", "-k", "1000", "-p", "2",
+                       "-n", "1", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
+
+    def test_exhaustive_without_k_exits_1(self):
+        proc = run_cli("simulate", "sublattice", "-d", "2", "-X", "50", "-p", "2",
+                       "-n", "10", "--exhaustive", timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+
+
+# Small values keep every accepted command well inside its caps, so that each
+# case ends in well under a second and 100 of them in about 20 s.
+SMALL = st.integers(-2, 4)
+PRIME_OR_NOT = st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 9])
+
+
+def _flags(*pairs):
+    """argv fragments: each flag is absent, or present with one drawn value
+    (alone when its values are None)."""
+    frags = [st.one_of(st.just(()), st.just((flag,)) if values is None
+                       else values.map(lambda v, f=flag: (f, str(v))))
+             for flag, values in pairs]
+    return st.tuples(*frags).map(lambda t: [a for frag in t for a in frag])
+
+
+def _command(head, *pairs):
+    return st.tuples(head, _flags(*pairs)).map(lambda t: [*t[0], *t[1]])
+
+
+ARGVS = st.one_of(
+    _command(st.just(["tally"]), ("-d", SMALL), ("-X", st.integers(-2, 40)),
+             ("--method", st.sampled_from(["auto", "enumerate", "full"])),
+             ("--max-matrices", st.integers(-1, 50)), ("--format", st.just("csv"))),
+    _command(st.just(["density"]), ("-d", SMALL), ("-m", SMALL),
+             ("--cutoff", st.integers(-2, 200))),
+    _command(st.sampled_from(["qident", "descent", "oracle", "autorder", "zidentity",
+                              "nonsense"]).map(lambda s: ["verify", s]),
+             ("--n", SMALL), ("--e", SMALL), ("--d", SMALL), ("--p", PRIME_OR_NOT),
+             ("--emax", SMALL), ("--max-order", st.integers(-2, 40))),
+    _command(st.sampled_from(["matrix", "sublattice"]).map(lambda m: ["simulate", m]),
+             ("-d", SMALL), ("-k", SMALL), ("-X", st.integers(-2, 60)),
+             ("-p", PRIME_OR_NOT), ("-n", st.integers(-2, 40)), ("--seed", SMALL),
+             ("--type-cap", SMALL), ("--exhaustive", None)),
+    _command(st.sampled_from(["print-local", "coeff"]).map(lambda a: ["zeta", a]),
+             ("-d", SMALL), ("-p", PRIME_OR_NOT),
+             ("--nu", st.lists(SMALL, max_size=4).map(lambda v: ",".join(map(str, v))))),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ARGVS)
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    proc = run_cli(*argv, timeout=20)
+    assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
 def test_runs_without_mpmath():

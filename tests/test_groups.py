@@ -281,7 +281,7 @@ class TestRankDMass:
             gr.rank_d_mass(gr.AbelianPGroupType.of(2, (1, 1)), 1)
 
     def test_partial_sums_monotone_to_one(self):
-        values = [gr.rank_d_mass_partial_sum(2, 2, B) for B in range(1, 11)]
+        values = [sum(gr.rank_d_masses(2, 2, B).values()) for B in range(1, 11)]
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
         assert all(v < 1 for v in values)
         # exact thresholds: 0.99749 at B=8 (not 0.999), 0.99937 at B=10

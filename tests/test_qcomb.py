@@ -205,6 +205,11 @@ class TestDescentPolynomials:
         with pytest.raises(CapExceededError):
             qc.descent_poly_permutations(qc.DescentSet.of(5, [1]), cap=4)
 
+    def test_inclusion_exclusion_table_cap(self):
+        d = qc.MAX_DESCENT_TABLE_DIM + 1
+        with pytest.raises(CapExceededError):
+            qc.descent_poly_inclusion_exclusion(qc.DescentSet.of(d, [1]))
+
 
 class TestIdentities:
     def test_telescope_base_cases(self):

@@ -31,6 +31,18 @@ class TestConfig:
             sim.SampleConfig(d=2, trials=10, master_seed=0, p=2,
                              entry_bound=5, index_bound=50)
 
+    def test_each_run_takes_its_own_model(self):
+        with pytest.raises(DomainError):
+            sim.run_sublattice_model(matrix_cfg())
+        with pytest.raises(DomainError):
+            sim.run_matrix_model(
+                sim.SampleConfig(d=2, trials=10, master_seed=0, p=2, index_bound=50))
+
+    def test_exhaustive_needs_the_matrix_model(self):
+        with pytest.raises(DomainError):
+            sim.SampleConfig(d=2, trials=10, master_seed=0, p=2,
+                             index_bound=50, exhaustive=True)
+
     def test_json(self):
         cfg = matrix_cfg()
         doc = cfg.to_json_dict()
@@ -44,20 +56,12 @@ class TestReproducibility:
         assert a.type_table.counts == b.type_table.counts
         assert a.rank_table.counts == b.rank_table.counts
 
-    def test_worker_split_is_invisible(self):
-        cfg = matrix_cfg(trials=500)
-        full = sim.run_matrix_model(cfg)
-        first = sim.run_matrix_model(cfg, 0, 250)
-        second = sim.run_matrix_model(cfg, 250, 500)
-        merged = first.type_table.merge(second.type_table)
-        assert merged.counts == full.type_table.counts
-        assert merged.trials == full.type_table.trials
-
     def test_sublattice_stream_reproducible(self):
         cfg = sim.SampleConfig(d=2, trials=64, master_seed=11, p=2, index_bound=40)
-        a = [ct.alpha for ct in sim.sample_uniform_sublattice(cfg)]
-        b = [ct.alpha for ct in sim.sample_uniform_sublattice(cfg)]
+        a = list(sim.sample_cokernel_type(cfg))
+        b = list(sim.sample_cokernel_type(cfg))
         assert a == b
+        assert all(sf.free_rank == 0 and sf.rank == 2 for sf, _ in a)
 
 
 class TestMatrixModel:
@@ -105,11 +109,17 @@ class TestMatrixModel:
         with pytest.raises(ResourceLimitError):
             sim.run_matrix_model(cfg)
 
+    def test_dimension_cap(self):
+        cfg = matrix_cfg(d=sim.MAX_MATRIX_DIM + 1, trials=1)
+        with pytest.raises(ResourceLimitError):
+            sim.run_matrix_model(cfg)
+        with pytest.raises(ResourceLimitError):
+            next(sim.sample_cokernel_type(cfg))
+
     def test_p_rank_matches_mod_p_elimination(self):
         cfg = matrix_cfg(trials=300, entry_bound=30, master_seed=3)
         ranks: dict = {sim.rank_label(r): 0 for r in range(3)}
-        for t in range(cfg.trials):
-            rows = sim._matrix_entries(cfg, t)
+        for rows in sim._matrices(cfg):
             ranks[sim.rank_label(2 - rank_mod_p(rows, 2))] += 1
         res = sim.run_matrix_model(cfg)
         assert res.rank_table.counts == ranks
