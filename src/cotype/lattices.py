@@ -13,7 +13,11 @@ One Hermite codec serves counting, enumeration and the sampler of
 `cotype.simulate`: `hermite_diagonals` (an index's diagonals with their basis
 counts) and `hermite_matrix` (a code decoded into the off-diagonal digits).
 One Smith reduction, `smith_normal_form`, serves `cotype_of`, the enumeration
-oracle and both Monte Carlo models of `cotype.simulate`.
+oracle and both Monte Carlo models of `cotype.simulate`. It reduces modulo D,
+one nonzero minor of full rank (Hafner-McCurley), so that no entry grows past
+|D|: a Bareiss elimination gives the rank and D (the diagonal's product for a
+triangular basis), and every invariant s_i divides D, so gcd(s_i, D) is exact.
+A 2 x 2 matrix takes the closed form gcd of the entries, |det| / gcd.
 The finite quotients themselves, as abelian p-groups with their subgroup and
 generating-tuple counts, belong to `cotype.groups`.
 """
@@ -148,68 +152,35 @@ class SmithForm:
 
 def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
     """Smith Normal Form invariants of a square integer matrix (any rank): the
-    one Smith reduction of the package, pivoting on the smallest entry."""
+    one Smith reduction of the package, computed modulo a determinant.
+
+    A fraction-free (Bareiss) elimination with full pivoting gives the rank r
+    and |D|, D a nonzero r x r minor; for an upper-triangular matrix with a
+    nonzero diagonal, D is the product of the diagonal and the elimination is
+    skipped. Row and column operations then reduce the matrix in Z/DZ, pivoting
+    on the smallest residue, so that no entry grows past D. Each pivot p gives
+    gcd(p, D), and the chain is repaired by gcd/lcm exchanges. Reduction mod D
+    keeps Z^n / (A Z^n + D Z^n), whose invariants are gcd(s_i, D), with s_i = 0
+    for i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D,
+    so gcd(s_i, D) = s_i for i <= r: the first r repaired invariants are exact.
+    At n = 2 the determinantal divisors give the form directly: s_1 is the gcd
+    of the entries and s_2 = |det| / s_1.
+    """
     m = [list(map(int, row)) for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("smith_normal_form expects a square matrix")
-    diag: list[int] = []
-    for k in range(n):
-        # Pick the smallest-magnitude nonzero entry of the trailing block as pivot.
-        best = None
-        pi = pj = -1
-        for i in range(k, n):
-            row = m[i]
-            for j in range(k, n):
-                v = row[j]
-                if v:
-                    a = v if v > 0 else -v
-                    if best is None or a < best:
-                        best, pi, pj = a, i, j
-        if best is None:
-            break
-        if pi != k:
-            m[k], m[pi] = m[pi], m[k]
-        if pj != k:
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-        while True:
-            if m[k][k] < 0:
-                mk = m[k]
-                for j in range(k, n):
-                    mk[j] = -mk[j]
-            changed = False
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                v = m[i][k]
-                if v:
-                    q = v // pivot
-                    if q:
-                        rk, ri = m[k], m[i]
-                        for j in range(k, n):
-                            ri[j] -= q * rk[j]
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        pivot = m[k][k]
-                        changed = True
-            if changed:
-                continue
-            for j in range(k + 1, n):
-                v = m[k][j]
-                if v:
-                    q = v // pivot
-                    if q:
-                        for i in range(k, n):
-                            m[i][j] -= q * m[i][k]
-                    if m[k][j]:
-                        for i in range(k, n):
-                            m[i][k], m[i][j] = m[i][j], m[i][k]
-                        pivot = m[k][k]
-                        changed = True
-            if not changed:
-                break
-        diag.append(m[k][k])
-    free_rank = n - len(diag)
+    if n == 2:
+        (a, b), (c, e) = m
+        s = gcd(a, b, c, e)
+        det = abs(a * e - b * c)
+        if det:
+            return SmithForm((s, det // s), 0)
+        return SmithForm((s,), 1) if s else SmithForm((), 2)
+    r, D = _rank_and_minor(m)
+    diag = [gcd(p, D) for p in _pivots_mod(m, D)]
+    # A pivot that vanishes mod D stands for gcd(0, D) = D.
+    diag += [D] * (r - len(diag))
     # Repair the divisibility chain with gcd/lcm exchanges on diagonal pairs.
     changed = True
     while changed:
@@ -220,7 +191,102 @@ def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
-    return SmithForm(tuple(diag), free_rank)
+    return SmithForm(tuple(diag[:r]), n - r)
+
+
+def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:
+    """The rank r of a square matrix and |D| for one nonzero r x r minor D (1
+    when r = 0), by Bareiss elimination with full pivoting on a copy; an
+    upper-triangular matrix with a nonzero diagonal gives its diagonal."""
+    n = len(m)
+    D = 1
+    for i, row in enumerate(m):
+        if any(row[:i]):
+            break
+        D *= row[i]
+    else:
+        if D:
+            return n, abs(D)
+    a = [row[:] for row in m]
+    prev = 1
+    for k in range(n):
+        at = next(((i, j) for i in range(k, n) for j in range(k, n) if a[i][j]), None)
+        if at is None:
+            return k, abs(prev)
+        i, j = at
+        a[k], a[i] = a[i], a[k]
+        if j != k:
+            for row in a[k:]:
+                row[k], row[j] = row[j], row[k]
+        rk = a[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            # Sylvester's identity: every quotient is exact.
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - f * rk[j]) // prev
+        prev = pk
+    return n, abs(prev)
+
+
+def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
+    """Diagonalize m over Z/DZ, entries kept in [0, D): each step moves the
+    smallest nonzero residue of the trailing block to the pivot and clears its
+    column and row by division with remainder, swapping in any nonzero
+    remainder as the new, smaller pivot. Returns the pivots found before the
+    trailing block vanishes mod D."""
+    n = len(m)
+    m = [[v % D for v in row] for row in m]
+    pivots = []
+    for k in range(n):
+        best = pi = pj = 0
+        for i in range(k, n):
+            row = m[i]
+            for j in range(k, n):
+                v = row[j]
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
+            break
+        if pi != k:
+            m[k], m[pi] = m[pi], m[k]
+        if pj != k:
+            for row in m[k:]:
+                row[k], row[pj] = row[pj], row[k]
+        while True:
+            rk = m[k]
+            pivot = rk[k]
+            changed = False
+            for i in range(k + 1, n):
+                ri = m[i]
+                v = ri[k]
+                if v:
+                    q = v // pivot
+                    for j in range(k, n):
+                        ri[j] = (ri[j] - q * rk[j]) % D
+                    if ri[k]:
+                        m[k], m[i] = ri, rk
+                        rk = ri
+                        pivot = ri[k]
+                        changed = True
+            if changed:
+                continue
+            # The column is clear, so a row step changes only the pivot row.
+            for j in range(k + 1, n):
+                v = rk[j]
+                if v:
+                    v %= pivot
+                    rk[j] = v
+                    if v:
+                        for row in m[k:]:
+                            row[k], row[j] = row[j], row[k]
+                        changed = True
+                        break
+            if not changed:
+                break
+        pivots.append(pivot)
+    return pivots
 
 
 def cotype_of(basis: HermiteBasis) -> Cotype:

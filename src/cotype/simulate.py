@@ -46,9 +46,10 @@ OTHER_LABEL = "other"
 
 # Exhaustive mode must visit (2k+1)^(d^2) matrices; cap that.
 DEFAULT_EXHAUSTIVE_CAP = 10**6
-# The Smith reduction's entries blow up with d: three trials at d = 9 and
-# k = 1000 take seconds, at d = 10 over a minute.
-MAX_MATRIX_DIM = 8
+# The largest d at which one trial with k = 10^4 stays under about 10 ms: the
+# Smith reduction modulo the determinant takes about 0.3 ms per matrix at
+# d = 8, 1.3 ms at d = 12 and 7 ms at d = 20 (2-vCPU Xeon, Python 3.11).
+MAX_MATRIX_DIM = 20
 # Uniform-sublattice sampling materializes per-index weight tables lazily.
 DEFAULT_SUBLATTICE_DIM_CAP = 3
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
@@ -89,8 +90,21 @@ class SampleConfig:
         if self.index_bound is not None and self.index_bound < 2:
             raise DomainError("index bound X must be >= 2")
 
+    @property
+    def matrices(self) -> int:
+        """Matrices a run visits: every (2k+1)^(d^2) of them in exhaustive
+        mode, otherwise one per trial."""
+        if self.exhaustive:
+            return (2 * self.entry_bound + 1) ** (self.d * self.d)
+        return self.trials
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields, except that an exhaustive run records the matrices it
+        visits as its trials and no seed, which it never uses."""
+        doc = asdict(self)
+        if self.exhaustive:
+            doc.update(trials=self.matrices, master_seed=None)
+        return doc
 
 
 def _trial_rng(master_seed: int, trial: int) -> random.Random:
@@ -157,8 +171,9 @@ class SublatticeSampler:
         self._cum = list(itertools.accumulate(dirichlet_coefficients_upto(d, X)))
         self.total = self._cum[-1]
 
-    def basis_at(self, code: int) -> HermiteBasis:
-        """The code-th sublattice in the canonical order, 0 <= code < total."""
+    def rows_at(self, code: int) -> list[list[int]]:
+        """The Hermite matrix of the code-th sublattice in the canonical order,
+        0 <= code < total, as the codec's rows, without a HermiteBasis check."""
         if not 0 <= code < self.total:
             raise DomainError("code out of range")
         n = bisect_right(self._cum, code)
@@ -167,10 +182,11 @@ class SublatticeSampler:
             if off < count:
                 break
             off -= count
-        return HermiteBasis(hermite_matrix(diag, off))
+        return hermite_matrix(diag, off)
 
-    def sample(self, rng: random.Random) -> HermiteBasis:
-        return self.basis_at(rng.randrange(self.total))
+    def basis_at(self, code: int) -> HermiteBasis:
+        """The code-th sublattice in the canonical order, 0 <= code < total."""
+        return HermiteBasis(self.rows_at(code))
 
 
 def _matrices(cfg: SampleConfig) -> Iterator[Sequence[Sequence[int]]]:
@@ -180,14 +196,13 @@ def _matrices(cfg: SampleConfig) -> Iterator[Sequence[Sequence[int]]]:
     d, k = cfg.d, cfg.entry_bound
     if cfg.index_bound is not None:
         sampler = SublatticeSampler(d, cfg.index_bound)
-        draw = lambda rng: sampler.sample(rng).rows
+        draw = lambda rng: sampler.rows_at(rng.randrange(sampler.total))
     elif d > MAX_MATRIX_DIM:
         raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
     elif cfg.exhaustive:
-        total = (2 * k + 1) ** (d * d)
-        if total > DEFAULT_EXHAUSTIVE_CAP:
+        if cfg.matrices > DEFAULT_EXHAUSTIVE_CAP:
             raise ResourceLimitError(
-                f"exhaustive mode needs {total} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
+                f"exhaustive mode needs {cfg.matrices} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
         return ([list(flat[i * d : (i + 1) * d]) for i in range(d)]
                 for flat in itertools.product(range(-k, k + 1), repeat=d * d))
     else:

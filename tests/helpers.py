@@ -1,6 +1,7 @@
 """Shared independent oracles for the test suite."""
 
 import itertools
+from fractions import Fraction
 from math import gcd, prod
 
 from mpmath import mp, mpf
@@ -22,6 +23,25 @@ def det_by_permutations(rows) -> int:
                     sign = -sign
         total += sign * prod(rows[i][perm[i]] for i in range(n))
     return total
+
+
+def det_by_elimination(rows) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return int(det)
 
 
 def tally_by_full_enumeration(d: int, X: int) -> dict:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotype import cli
+from cotype.simulate import MAX_MATRIX_DIM
 from cotype.zeta import dirichlet_coefficients_upto
 
 
@@ -184,10 +185,16 @@ class TestInputContracts:
         assert "resource limit" in proc.stderr
 
     def test_matrix_dimension_cap_exits_2_promptly(self):
-        proc = run_cli("simulate", "matrix", "-d", "12", "-k", "1000", "-p", "2",
-                       "-n", "1", timeout=20)
+        proc = run_cli("simulate", "matrix", "-d", str(MAX_MATRIX_DIM + 1), "-k", "1000",
+                       "-p", "2", "-n", "1", timeout=20)
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
+
+    def test_matrix_model_at_its_dimension_cap_ends_promptly(self):
+        proc = run_cli("simulate", "matrix", "-d", "20", "-k", "10000", "-p", "2",
+                       "-n", "3", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["empirical"]["rank"]["trials"] == 3
 
     def test_exhaustive_without_k_exits_1(self):
         proc = run_cli("simulate", "sublattice", "-d", "2", "-X", "50", "-p", "2",
@@ -259,6 +266,13 @@ def test_runs_without_mpmath():
     assert proc.stdout == expected + run_cli("--version", timeout=60).stdout
 
 
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "cotype", "--version"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli("--version", timeout=60).stdout
+
+
 class TestZeta:
     def test_print_local(self):
         proc = run_cli("zeta", "-d", "2", "print-local")
@@ -306,6 +320,26 @@ class TestSimulateCommand:
 
     def test_missing_model_argument(self):
         assert run_cli("simulate", "matrix", "-d", "2", "-p", "2").returncode == 1
+
+    def test_exhaustive_config_records_the_matrices_visited(self):
+        proc = run_cli("simulate", "matrix", "-d", "2", "-k", "1", "-p", "5", "-n", "0",
+                       "--exhaustive", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["config"]["trials"] == doc["empirical"]["rank"]["trials"] == 81
+        assert doc["config"]["master_seed"] is None
+
+    @pytest.mark.parametrize("args, digest", [
+        ("simulate matrix -d 8 -k 1000 -p 2 -n 50 --seed 1",
+         "ac17cb980589fb7b99024de4241e477b7dc995fb2b9989a6c5f298b2db5e57e1"),
+        ("simulate matrix -d 6 -k 100 -p 2 -n 500 --seed 1",
+         "7d40e7b27f28a23a63653d67a22d42c075831617894b8b7056e0ab3481512b2f"),
+    ])
+    def test_matrix_model_output_is_pinned(self, args, digest):
+        # seeded Smith forms of dense d = 6 and d = 8 matrices, byte for byte
+        proc = run_cli(*args.split(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 class TestManifestAndReproducibility:

@@ -1,6 +1,7 @@
 """Tests for Hermite enumeration, Smith reduction, and cotype tallies."""
 
 import json
+import math
 import random
 import time
 
@@ -11,7 +12,7 @@ from cotype import lattices as lat
 from cotype.errors import DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
-from helpers import snf_oracle, tally_by_full_enumeration
+from helpers import det_by_elimination, rank_mod_p, snf_oracle, tally_by_full_enumeration
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -109,6 +110,12 @@ class TestSmithForm:
         assert lat.smith_normal_form([[1, 0], [0, 1]]) == lat.SmithForm((1, 1), 0)
         assert lat.smith_normal_form([[4, 0], [0, 6]]) == lat.SmithForm((2, 12), 0)
         assert lat.smith_normal_form([[0, 0], [0, 0]]) == lat.SmithForm((), 2)
+        assert lat.smith_normal_form([]) == lat.SmithForm((), 0)
+        assert lat.smith_normal_form([[-6]]) == lat.SmithForm((6,), 0)
+        assert lat.smith_normal_form([[0] * 4] * 4) == lat.SmithForm((), 4)
+        # unimodular: D = 1
+        assert lat.smith_normal_form([[2, 1, 0], [1, 1, 0], [0, 0, 1]]) == lat.SmithForm(
+            (1, 1, 1), 0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -128,6 +135,49 @@ class TestSmithForm:
         sf = lat.smith_normal_form([[1, 2, 3], [2, 4, 6], [0, 0, 5]])
         assert sf.free_rank == 1
         assert sf.diag == (1, 5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_kernel_against_minor_oracle(self, data):
+        # Entries in [-2, 2] make many draws singular; upper-triangular draws
+        # take the diagonal's product as their minor, and n = 2 the closed form.
+        n = data.draw(st.integers(0, 5), label="n")
+        bound = data.draw(st.sampled_from([2, 2, 40]), label="bound")
+        shape = data.draw(st.sampled_from(["dense", "dense", "upper", "zero"]), label="shape")
+        rows = [[data.draw(st.integers(-bound, bound)) if shape == "dense"
+                 or (shape == "upper" and j >= i) else 0 for j in range(n)]
+                for i in range(n)]
+        sf = lat.smith_normal_form(rows)
+        assert (sf.diag, sf.free_rank) == snf_oracle(rows), rows
+
+    @pytest.mark.parametrize("d", range(6, 13))
+    def test_large_entries_against_mod_p_ranks(self, d):
+        rng = random.Random(1000 + d)
+
+        def rand(rows, cols, k):
+            return [[rng.randint(-k, k) for _ in range(cols)] for _ in range(rows)]
+
+        def mul(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+        scale = [[0] * d for _ in range(d)]
+        for i in range(d):
+            scale[i][i] = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 1)
+        cases = [
+            (rand(d, d, 10**9), 0),
+            (mul(mul(rand(d, d, 30), scale), rand(d, d, 30)), 0),
+            (mul(rand(d, d - 2, 1000), rand(d - 2, d, 1000)), 2),
+        ]
+        for rows, free_rank in cases:
+            sf = lat.smith_normal_form(rows)
+            assert sf.free_rank == free_rank
+            assert all(b % a == 0 for a, b in zip(sf.diag, sf.diag[1:]))
+            assert sf.diag[0] == math.gcd(*(v for row in rows for v in row))
+            for p in (2, 3, 5):
+                divisible = sum(1 for s in sf.diag if s % p == 0)
+                assert d - divisible - sf.free_rank == rank_mod_p(rows, p), (d, p)
+            if not free_rank:
+                assert math.prod(sf.diag) == abs(det_by_elimination(rows))
 
 
 class TestCotype:

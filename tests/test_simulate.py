@@ -47,6 +47,14 @@ class TestConfig:
         cfg = matrix_cfg()
         doc = cfg.to_json_dict()
         assert doc["entry_bound"] == 100 and doc["index_bound"] is None
+        assert doc["trials"] == 1000 and doc["master_seed"] == 7
+
+    def test_exhaustive_json_records_the_matrices_visited(self):
+        cfg = matrix_cfg(d=2, trials=0, entry_bound=1, exhaustive=True)
+        assert cfg.matrices == 81
+        doc = cfg.to_json_dict()
+        assert doc["trials"] == sim.run_matrix_model(cfg).rank_table.trials == 81
+        assert doc["master_seed"] is None
 
 
 class TestReproducibility:
