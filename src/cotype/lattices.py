@@ -10,14 +10,15 @@ independent of the q-binomial formulas, so it checks the formula side. All
 arithmetic is exact.
 
 One Hermite codec serves counting, enumeration and the sampler of
-`cotype.simulate`: `hermite_diagonals` (an index's diagonals with their basis
-counts) and `hermite_matrix` (a code decoded into the off-diagonal digits).
-One Smith reduction, `smith_normal_form`, serves `cotype_of`, the enumeration
-oracle and both Monte Carlo models of `cotype.simulate`. It reduces modulo D,
-one nonzero minor of full rank (Hafner-McCurley), so that no entry grows past
-|D|: a Bareiss elimination gives the rank and D (the diagonal's product for a
+`cotype.simulate`: `hermite_diagonals` (an index's diagonals with the prefix
+offsets of their basis counts, bisected to decode) and `hermite_matrix` (a
+code decoded into the off-diagonal digits). One Smith reduction,
+`smith_normal_form`, serves `cotype_of`, the enumeration oracle and both Monte
+Carlo models of `cotype.simulate`. At n <= 3 it takes the closed form of the
+determinantal divisors; larger matrices are reduced modulo D, one nonzero
+minor of full rank (Hafner-McCurley), so that no entry grows past |D|: a
+Bareiss elimination gives the rank and D (the diagonal's product for a
 triangular basis), and every invariant s_i divides D, so gcd(s_i, D) is exact.
-A 2 x 2 matrix takes the closed form gcd of the entries, |det| / gcd.
 The finite quotients themselves, as abelian p-groups with their subgroup and
 generating-tuple counts, belong to `cotype.groups`.
 """
@@ -152,10 +153,13 @@ class SmithForm:
 
 def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
     """Smith Normal Form invariants of a square integer matrix (any rank): the
-    one Smith reduction of the package, computed modulo a determinant.
+    one Smith reduction of the package. At n = 2 and 3 the determinantal
+    divisors give it: D_1 is the gcd of the entries, D_2 that of the 2 x 2
+    minors, D_n = |det|; the rank r counts the nonzero D_k, s_k = D_k / D_(k-1)
+    for k <= r, and the free rank is n - r.
 
-    A fraction-free (Bareiss) elimination with full pivoting gives the rank r
-    and |D|, D a nonzero r x r minor; for an upper-triangular matrix with a
+    Otherwise a fraction-free (Bareiss) elimination with full pivoting gives
+    the rank r and |D|, D a nonzero r x r minor; for an upper-triangular matrix with a
     nonzero diagonal, D is the product of the diagonal and the elimination is
     skipped. Row and column operations then reduce the matrix in Z/DZ, pivoting
     on the smallest residue, so that no entry grows past D. Each pivot p gives
@@ -163,8 +167,6 @@ def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
     keeps Z^n / (A Z^n + D Z^n), whose invariants are gcd(s_i, D), with s_i = 0
     for i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D,
     so gcd(s_i, D) = s_i for i <= r: the first r repaired invariants are exact.
-    At n = 2 the determinantal divisors give the form directly: s_1 is the gcd
-    of the entries and s_2 = |det| / s_1.
     """
     m = [list(map(int, row)) for row in matrix]
     n = len(m)
@@ -177,6 +179,18 @@ def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
         if det:
             return SmithForm((s, det // s), 0)
         return SmithForm((s,), 1) if s else SmithForm((), 2)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        A, B, C = e * i - f * h, f * g - d * i, d * h - e * g
+        s1 = gcd(a, b, c, d, e, f, g, h, i)
+        s2 = gcd(A, B, C, b * i - c * h, a * i - c * g, a * h - b * g,
+                 b * f - c * e, a * f - c * d, a * e - b * d)
+        det = abs(a * A + b * B + c * C)
+        if det:
+            return SmithForm((s1, s2 // s1, det // s2), 0)
+        if s2:
+            return SmithForm((s1, s2 // s1), 1)
+        return SmithForm((s1,), 2) if s1 else SmithForm((), 3)
     r, D = _rank_and_minor(m)
     diag = [gcd(p, D) for p in _pivots_mod(m, D)]
     # A pivot that vanishes mod D stands for gcd(0, D) = D.
@@ -329,10 +343,11 @@ def _basis_count(diag: tuple[int, ...]) -> int:
 # Sized above the sampler's DEFAULT_SUBLATTICE_INDEX_CAP, every index of a draw.
 @lru_cache(maxsize=1 << 14)
 def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The Hermite diagonals (a_1,...,a_d) of index n, and beside them the
-    number of bases each carries (_basis_count). Diagonals come in
-    lexicographic order, the canonical order of the enumeration and the
-    sampler. ResourceLimitError when d * diagonals passes MAX_HERMITE_TABLE."""
+    """The Hermite diagonals (a_1,...,a_d) of index n in lexicographic order,
+    the canonical order of the enumeration and the sampler, and the prefix
+    offsets (0, c_0, c_0 + c_1, ..., total) of their _basis_count c_i: the codes
+    of diagonal i are [offsets[i], offsets[i + 1]). ResourceLimitError when
+    d * diagonals passes MAX_HERMITE_TABLE."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
     if d * _diagonal_count(d, n) > MAX_HERMITE_TABLE:
@@ -346,7 +361,7 @@ def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tupl
             for m in (divs if k < d else (n,))
         }
     diags = tuple(tails[n])
-    return diags, tuple(map(_basis_count, diags))
+    return diags, (0, *itertools.accumulate(map(_basis_count, diags)))
 
 
 def hermite_matrix(diag: tuple[int, ...], code: int) -> list[list[int]]:
@@ -366,8 +381,8 @@ def hermite_matrix(diag: tuple[int, ...], code: int) -> list[list[int]]:
 
 
 def hnf_count(d: int, n: int) -> int:
-    """Number of index-n sublattices of Z^d, summed over Hermite diagonals."""
-    return sum(hermite_diagonals(d, n)[1])
+    """Number of index-n sublattices of Z^d: the last offset of its Hermite table."""
+    return hermite_diagonals(d, n)[1][-1]
 
 
 def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = DEFAULT_ENUM_CAP,
@@ -382,10 +397,9 @@ def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = DEFAULT
     for n in indices:
         if total + _diagonal_count(d, n) - 1 > max_matrices:
             break
-        diags, counts = hermite_diagonals(d, n)
-        if contracted:
-            counts = map(_basis_count, (tuple(a for a in g if a > 1) for g in diags))
-        total += sum(counts) - 1
+        diags, offsets = hermite_diagonals(d, n)
+        total += (sum(_basis_count(tuple(a for a in g if a > 1)) for g in diags)
+                  if contracted else offsets[-1]) - 1
     else:
         if total <= max_matrices:
             return total
@@ -403,8 +417,9 @@ def enumerate_hnf(
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
     enumeration_size(d, [n], max_matrices)
-    for diag, count in zip(*hermite_diagonals(d, n)):
-        for code in range(count):
+    diags, offsets = hermite_diagonals(d, n)
+    for diag, lo, hi in zip(diags, offsets, offsets[1:]):
+        for code in range(hi - lo):
             yield HermiteBasis(hermite_matrix(diag, code))
 
 
@@ -416,7 +431,9 @@ def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) 
     and each free off-diagonal entry aimed at a deleted column multiplies the
     count without changing the cotype.
     """
-    for diag, count in zip(*hermite_diagonals(d, n)):
+    diags, offsets = hermite_diagonals(d, n)
+    for diag, lo, hi in zip(diags, offsets, offsets[1:]):
+        count = hi - lo
         core = tuple(a for a in diag if a > 1)
         pad = (1,) * (d - len(core))
         if len(core) <= 1:

@@ -50,6 +50,10 @@ DEFAULT_EXHAUSTIVE_CAP = 10**6
 # Smith reduction modulo the determinant takes about 0.3 ms per matrix at
 # d = 8, 1.3 ms at d = 12 and 7 ms at d = 20 (2-vCPU Xeon, Python 3.11).
 MAX_MATRIX_DIM = 20
+# Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
+# form costs about 2 us * d^3, and below d = 3 its fixed 20-30 us takes over.
+# Runs at the cap took 32 s at d = 20 and 13-18 s at d <= 3 (same machine).
+MAX_TRIAL_WORK = 15 * 10**6
 # Uniform-sublattice sampling materializes per-index weight tables lazily.
 DEFAULT_SUBLATTICE_DIM_CAP = 3
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
@@ -155,7 +159,8 @@ class SublatticeSampler:
     the index n (weighted by the number of sublattices of that index), then the
     Hermite diagonal (weighted by its matrix count, in the order of
     `lattices.hermite_diagonals`), then the off-diagonal digits
-    (`lattices.hermite_matrix`). No rejection, no materialized list.
+    (`lattices.hermite_matrix`); both weighted steps bisect cumulative counts.
+    No rejection, no materialized list.
     """
 
     def __init__(self, d: int, X: int):
@@ -178,11 +183,9 @@ class SublatticeSampler:
             raise DomainError("code out of range")
         n = bisect_right(self._cum, code)
         off = code - self._cum[n - 1]
-        for diag, count in zip(*hermite_diagonals(self.d, n)):
-            if off < count:
-                break
-            off -= count
-        return hermite_matrix(diag, off)
+        diags, offsets = hermite_diagonals(self.d, n)
+        i = bisect_right(offsets, off) - 1
+        return hermite_matrix(diags[i], off - offsets[i])
 
     def basis_at(self, code: int) -> HermiteBasis:
         """The code-th sublattice in the canonical order, 0 <= code < total."""
@@ -194,6 +197,8 @@ def _matrices(cfg: SampleConfig) -> Iterator[Sequence[Sequence[int]]]:
     of index < X, or entries uniform in [-k, k], or in exhaustive mode every
     matrix with entries in [-k, k]. Caps are checked before the first draw."""
     d, k = cfg.d, cfg.entry_bound
+    if not cfg.exhaustive and cfg.trials * max(d, 3) ** 3 > MAX_TRIAL_WORK:
+        raise ResourceLimitError(f"trials * max(d, 3)^3 exceeds the work cap {MAX_TRIAL_WORK}")
     if cfg.index_bound is not None:
         sampler = SublatticeSampler(d, cfg.index_bound)
         draw = lambda rng: sampler.rows_at(rng.randrange(sampler.total))

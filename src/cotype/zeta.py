@@ -123,29 +123,6 @@ def local_coefficient(d: int, p: int, nu) -> int:
     return ambient_subgroup_count(d, Partition.of(nu), p)
 
 
-def series_coefficient(d: int, p: int, nu) -> int:
-    """The same coefficient extracted from the power-series expansion of the
-    symbolic local factor: geometric expansion of every 1/(1-t_j) turns the
-    coefficient of the monomial determined by nu into a sum of descent
-    polynomials, evaluated exactly at q = 1/p and rescaled by the change of
-    variables t_j = p^(-z_j)."""
-    require_prime(p)
-    nu = _validate_exponents(d, nu)
-    lf = local_factor(d)
-    steps = [nu[j] - (nu[j + 1] if j + 1 < d else 0) for j in range(d)]
-    support = {j + 1 for j, c in enumerate(steps) if c > 0}
-    inner = support - {d}
-    acc = ZERO
-    for subset, poly in lf.numerator:
-        if set(subset) <= inner:
-            acc = acc + poly
-    shift = sum(c * (j + 1) * (d - (j + 1)) for j, c in enumerate(steps))
-    value = Fraction(acc(Fraction(1, p))) * Fraction(p) ** shift
-    if value.denominator != 1:
-        raise ArithmeticError("series coefficient was not an integer")
-    return value.numerator
-
-
 @lru_cache(maxsize=None)
 def _local_cotype_table(d: int, p: int, e: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The index-p^e sublattices of Z^d by cotype: pairs ((p^nu_1,...,p^nu_d),

@@ -9,6 +9,8 @@ from mpmath import mp, mpf
 from cotype.groups import conjugate
 from cotype.lattices import cotype_of, enumerate_hnf
 from cotype.primes import primes_upto, valuation
+from cotype.qcomb import ZERO
+from cotype.zeta import local_factor
 
 
 def det_by_permutations(rows) -> int:
@@ -107,6 +109,26 @@ def snf_oracle(rows):
             break
         invariants.append(dets[k] // dets[k - 1])
     return tuple(invariants), n - len(invariants)
+
+
+def series_coefficient(d: int, p: int, nu) -> int:
+    """The oracle for zeta.local_coefficient: the coefficient extracted from
+    the power-series expansion of the symbolic local factor. Geometric
+    expansion of every 1/(1-t_j) turns the coefficient of the monomial
+    determined by nu (weakly decreasing, nonnegative) into a sum of descent
+    polynomials, evaluated exactly at q = 1/p and rescaled by the change of
+    variables t_j = p^(-z_j)."""
+    lf = local_factor(d)
+    steps = [nu[j] - (nu[j + 1] if j + 1 < d else 0) for j in range(d)]
+    inner = {j + 1 for j, c in enumerate(steps) if c > 0} - {d}
+    acc = ZERO
+    for subset, poly in lf.numerator:
+        if set(subset) <= inner:
+            acc = acc + poly
+    shift = sum(c * (j + 1) * (d - (j + 1)) for j, c in enumerate(steps))
+    value = Fraction(acc(Fraction(1, p))) * Fraction(p) ** shift
+    assert value.denominator == 1, "series coefficient was not an integer"
+    return value.numerator
 
 
 def rank_mod_p(rows, p: int) -> int:

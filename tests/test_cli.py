@@ -190,6 +190,13 @@ class TestInputContracts:
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
 
+    def test_matrix_model_work_cap_exits_2_promptly(self):
+        # the default -n 10000 at d = 20 is past the cap on trials * max(d, 3)^3
+        proc = run_cli("simulate", "matrix", "-d", "20", "-k", "10000", "-p", "2",
+                       timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "work cap" in proc.stderr
+
     def test_matrix_model_at_its_dimension_cap_ends_promptly(self):
         proc = run_cli("simulate", "matrix", "-d", "20", "-k", "10000", "-p", "2",
                        "-n", "3", timeout=20)

@@ -95,9 +95,10 @@ class TestEnumeration:
         assert sum(counts.values()) == lat.hnf_count(8, 16)
 
     def test_diagonal_table(self):
-        diags, counts = lat.hermite_diagonals(3, 4)
+        diags, offsets = lat.hermite_diagonals(3, 4)
         assert diags == ((1, 1, 4), (1, 2, 2), (1, 4, 1), (2, 1, 2), (2, 2, 1), (4, 1, 1))
-        assert counts == (1, 2, 4, 4, 8, 16)
+        # prefix offsets of the basis counts 1, 2, 4, 4, 8, 16
+        assert offsets == (0, 1, 3, 7, 11, 19, 35)
         assert lat.hermite_matrix((2, 2, 1), 5) == [[2, 1, 0], [0, 2, 1], [0, 0, 1]]
 
     def test_negative_cap_is_bad_input(self):
@@ -140,13 +141,44 @@ class TestSmithForm:
     @given(st.data())
     def test_kernel_against_minor_oracle(self, data):
         # Entries in [-2, 2] make many draws singular; upper-triangular draws
-        # take the diagonal's product as their minor, and n = 2 the closed form.
+        # take the diagonal's product as their minor, and n = 2, 3 the closed form.
         n = data.draw(st.integers(0, 5), label="n")
         bound = data.draw(st.sampled_from([2, 2, 40]), label="bound")
         shape = data.draw(st.sampled_from(["dense", "dense", "upper", "zero"]), label="shape")
         rows = [[data.draw(st.integers(-bound, bound)) if shape == "dense"
                  or (shape == "upper" and j >= i) else 0 for j in range(n)]
                 for i in range(n)]
+        sf = lat.smith_normal_form(rows)
+        assert (sf.diag, sf.free_rank) == snf_oracle(rows), rows
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_closed_form_3x3_against_minor_oracle(self, data):
+        # n = 3 takes the determinantal divisors directly; every rank appears,
+        # by construction: zero, outer products u v^T, a third row combining
+        # the first two, and upper-triangular draws with a zero on the
+        # diagonal. Sparse draws leave a single nonzero minor of some order.
+        sparse = data.draw(st.booleans(), label="sparse")
+        entry = (st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]) if sparse
+                 else st.integers(-9, 9) | st.integers(-10**6, 10**6))
+        vec = st.lists(entry, min_size=3, max_size=3)
+        shape = data.draw(st.sampled_from(["dense", "rank0", "rank1", "rank2", "upper0"]),
+                          label="shape")
+        if shape == "rank0":
+            rows = [[0] * 3 for _ in range(3)]
+        elif shape == "rank1":
+            u, v = data.draw(vec, label="u"), data.draw(vec, label="v")
+            rows = [[a * b for b in v] for a in u]
+        elif shape == "rank2":
+            r0, r1 = data.draw(vec, label="r0"), data.draw(vec, label="r1")
+            a, b = data.draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), label="a, b")
+            rows = [r0, r1, [a * x + b * y for x, y in zip(r0, r1)]]
+        else:
+            rows = [data.draw(vec, label=f"row{i}") for i in range(3)]
+        if shape == "upper0":
+            zero = data.draw(st.integers(0, 2), label="zero")
+            rows = [[v if j > i or (j == i and i != zero) else 0 for j, v in enumerate(row)]
+                    for i, row in enumerate(rows)]
         sf = lat.smith_normal_form(rows)
         assert (sf.diag, sf.free_rank) == snf_oracle(rows), rows
 

@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,32 @@ class TestMatrixModel:
         with pytest.raises(ResourceLimitError):
             next(sim.sample_cokernel_type(cfg))
 
+    def test_work_cap(self):
+        # trials * max(d, 3)^3 past the cap is refused before the first draw,
+        # in both models
+        over = sim.MAX_TRIAL_WORK // 27 + 1
+        for cfg in (matrix_cfg(d=2, trials=over),
+                    sim.SampleConfig(d=3, trials=over, master_seed=0, p=2, index_bound=50),
+                    matrix_cfg(d=20, trials=sim.MAX_TRIAL_WORK // 8000 + 1)):
+            with pytest.raises(ResourceLimitError):
+                next(sim.sample_cokernel_type(cfg))
+        assert next(sim.sample_cokernel_type(matrix_cfg(d=2, trials=over - 1)))
+
+    def test_work_cap_admits_every_documented_run(self):
+        # the simulate commands of the README and of the benchmark workloads
+        root = Path(__file__).resolve().parents[1]
+        workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))["WORKLOADS"]
+        lines = [c.key for w in workloads.values() for c in w.commands]
+        lines += [ln.split("cotype ", 1)[1] for ln in
+                  (root / "README.md").read_text().splitlines() if ln.startswith("cotype ")]
+        runs = [ln.split("#")[0].split() for ln in lines if ln.startswith("simulate")]
+        runs = [argv for argv in runs if "--exhaustive" not in argv]
+        assert len(runs) >= 6
+        for argv in runs:
+            n = int(argv[argv.index("-n") + 1]) if "-n" in argv else 10000
+            d = int(argv[argv.index("-d") + 1])
+            assert n * max(d, 3) ** 3 <= sim.MAX_TRIAL_WORK, argv
+
     def test_p_rank_matches_mod_p_elimination(self):
         cfg = matrix_cfg(trials=300, entry_bound=30, master_seed=3)
         ranks: dict = {sim.rank_label(r): 0 for r in range(3)}
@@ -217,12 +245,11 @@ class TestUniformSublattices:
 
     @pytest.mark.parametrize("d, X", [(1, 30), (2, 30), (3, 13)])
     def test_decode_matches_enumeration(self, d, X):
+        # the decode order, not just the decoded set: codes run through the
+        # indices, then each index's bases in the order of enumerate_hnf
         sampler = sim.SublatticeSampler(d, X)
-        decoded: dict = {}
-        for code in range(sampler.total):
-            basis = sampler.basis_at(code)
-            decoded.setdefault(basis.index, set()).add(basis.rows)
-        assert decoded == {n: {b.rows for b in enumerate_hnf(d, n)} for n in range(1, X)}
+        assert [sampler.rows_at(c) for c in range(sampler.total)] == [
+            b.matrix() for n in range(1, X) for b in enumerate_hnf(d, n)]
 
     def test_d1_uniform_over_indices(self):
         sampler = sim.SublatticeSampler(1, 6)
