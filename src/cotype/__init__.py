@@ -19,13 +19,14 @@ from .qcomb import (
     q_multinomial,
 )
 from .lattices import (
-    Cotype,
     CotypeTally,
     HermiteBasis,
     SmithForm,
+    corank,
     cotype_of,
     enumerate_hnf,
     hnf_count,
+    p_part,
     smith_normal_form,
     tally_cotypes,
 )

@@ -77,6 +77,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _checked(convert, ok, need: str):
+    """An argparse type: convert, then refuse a value failing ok (exit 1)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # names the type in "invalid int value"
+    return parse
+
+
+_DIM = _checked(int, lambda v: v >= 1, ">= 1")
+_COUNT = _checked(int, lambda v: v >= 0, ">= 0")
+_Z_THRESHOLD = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -382,11 +398,11 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run an exact identity suite")
     p_verify.add_argument("suite", choices=sorted(VERIFY_SUITES))
-    p_verify.add_argument("--n", type=int, default=8)
-    p_verify.add_argument("--e", type=int, default=4)
-    p_verify.add_argument("--d", type=int, default=6)
+    p_verify.add_argument("--n", type=_COUNT, default=8)
+    p_verify.add_argument("--e", type=_COUNT, default=4)
+    p_verify.add_argument("--d", type=_DIM, default=6)
     p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--emax", type=int, default=4)
+    p_verify.add_argument("--emax", type=_COUNT, default=4)
     p_verify.add_argument("--max-order", type=int, default=64)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -400,8 +416,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--exhaustive", action="store_true",
                        help="visit every matrix instead of sampling")
-    p_sim.add_argument("--z-threshold", type=float, default=4.0)
-    p_sim.add_argument("--type-cap", type=int, default=2,
+    p_sim.add_argument("--z-threshold", type=_Z_THRESHOLD, default=4.0)
+    p_sim.add_argument("--type-cap", type=_COUNT, default=2,
                        help="largest exponent kept as its own type label")
     p_sim.add_argument("--out", default=None, help="CSV path for raw type tallies")
     p_sim.set_defaults(handler=_cmd_simulate)

@@ -65,9 +65,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def conjugate(self) -> "Partition":
-        return Partition(conjugate(self.parts))
-
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
     """Conjugate partition: entry i counts the parts >= i. Involutive."""

@@ -7,7 +7,9 @@ sublattices through their Hermite-basis matrices (upper triangular,
 column-style, off-diagonal entries reduced modulo the row's diagonal) and
 classifies each by its Smith invariant factors. Only the enumeration is
 independent of the q-binomial formulas, so it checks the formula side. All
-arithmetic is exact.
+arithmetic is exact. A cotype is the plain tuple (a_1,...,a_d), largest first,
+and a Smith form the named tuple (diag, free_rank): every producer builds the
+divisibility chain correct by construction, so neither re-checks it.
 
 One Hermite codec serves counting, enumeration and the sampler of
 `cotype.simulate`: `hermite_diagonals` (an index's diagonals with the prefix
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .primes import factorize, smallest_prime_factors, valuation
@@ -88,40 +90,12 @@ class HermiteBasis:
         return [list(r) for r in self.rows]
 
 
-@dataclass(frozen=True)
-class Cotype:
-    """The d-tuple (a_1,...,a_d) with a_{i+1} | a_i and Z^d/L = sum of Z/a_i."""
-
-    alpha: tuple[int, ...]
-
-    def __post_init__(self):
-        alpha = tuple(int(a) for a in self.alpha)
-        if not alpha or any(a < 1 for a in alpha):
-            raise DomainError("cotype entries must be positive")
-        for i in range(len(alpha) - 1):
-            if alpha[i] % alpha[i + 1]:
-                raise DomainError(f"cotype violates divisibility chain: {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def dim(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def index(self) -> int:
-        return prod(self.alpha)
-
-    @property
-    def corank(self) -> int:
-        """Largest i with alpha_i != 1 (1-based); 0 for the full lattice."""
-        for i in range(self.dim, 0, -1):
-            if self.alpha[i - 1] != 1:
-                return i
-        return 0
-
-    def p_part(self, p: int) -> tuple[int, ...]:
-        """Type of the p-Sylow subgroup of Z^d/L."""
-        return p_part(self.alpha, p)
+def corank(alpha: Sequence[int]) -> int:
+    """Largest i (1-based) with alpha_i != 1 in a cotype; 0 for Z^d itself."""
+    i = len(alpha)
+    while i and alpha[i - 1] == 1:
+        i -= 1
+    return i
 
 
 def p_part(chain: Iterable[int], p: int) -> tuple[int, ...]:
@@ -130,21 +104,11 @@ def p_part(chain: Iterable[int], p: int) -> tuple[int, ...]:
     return tuple([valuation(a, p) for a in chain if a % p == 0])
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Invariant factors s_1 | s_2 | ... | s_r plus the free rank of the cokernel."""
 
     diag: tuple[int, ...]
     free_rank: int
-
-    def __post_init__(self):
-        diag = tuple(self.diag)
-        if any(s <= 0 for s in diag):
-            raise DomainError("invariant factors must be positive")
-        for i in range(len(diag) - 1):
-            if diag[i + 1] % diag[i]:
-                raise DomainError(f"invariant factors violate divisibility: {diag}")
-        object.__setattr__(self, "diag", diag)
 
     @property
     def rank(self) -> int:
@@ -303,12 +267,9 @@ def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
     return pivots
 
 
-def cotype_of(basis: HermiteBasis) -> Cotype:
+def cotype_of(basis: HermiteBasis) -> tuple[int, ...]:
     """Cotype of the sublattice: the Smith invariants, largest first."""
-    sf = smith_normal_form(basis.rows)
-    if sf.free_rank:
-        raise DomainError("Hermite basis must have full rank")
-    return Cotype(tuple(reversed(sf.diag)))
+    return smith_normal_form(basis.rows).diag[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +405,7 @@ def _tally_index_enumerated(d: int, n: int, counts: dict[tuple[int, ...], int]) 
         mult = count // core_count
         for code in range(core_count):
             sf = smith_normal_form(hermite_matrix(core, code))
-            key = tuple(reversed(sf.diag)) + pad
+            key = sf.diag[::-1] + pad
             counts[key] = counts.get(key, 0) + mult
 
 
@@ -454,21 +415,21 @@ class CotypeTally:
 
     d: int
     X: int
-    counts: dict[Cotype, int]
+    counts: dict[tuple[int, ...], int]
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
     def count(self, alpha: Iterable[int]) -> int:
-        return self.counts.get(Cotype(tuple(alpha)), 0)
+        return self.counts.get(tuple(alpha), 0)
 
     def n_with_corank_at_most(self, m: int) -> int:
-        return sum(c for ct, c in self.counts.items() if ct.corank <= m)
+        return sum(c for alpha, c in self.counts.items() if corank(alpha) <= m)
 
     def rows(self) -> list[tuple[tuple[int, ...], int, int, int]]:
         """Sorted (alpha, corank, index, count) rows."""
-        out = [(ct.alpha, ct.corank, ct.index, c) for ct, c in self.counts.items()]
+        out = [(alpha, corank(alpha), prod(alpha), c) for alpha, c in self.counts.items()]
         out.sort(key=lambda r: (r[2], r[0]))
         return out
 
@@ -485,8 +446,8 @@ class CotypeTally:
     def n_by_corank(self) -> dict[str, int]:
         """n_with_corank_at_most(m) for every m <= d, in one pass."""
         at = [0] * (self.d + 1)
-        for ct, c in self.counts.items():
-            at[ct.corank] += c
+        for alpha, c in self.counts.items():
+            at[corank(alpha)] += c
         return {str(m): n for m, n in enumerate(itertools.accumulate(at))}
 
     def json_rows(self) -> list[dict]:
@@ -572,11 +533,10 @@ def tally_cotypes(
     _check_cap(max_matrices)
 
     if method == "auto":
-        raw = _tally_formula(d, X)
+        counts = _tally_formula(d, X)
     else:
         enumeration_size(d, range(1, X), max_matrices)
-        raw = {}
+        counts = {}
         for n in range(1, X):
-            _tally_index_enumerated(d, n, raw)
-    counts = {Cotype(k): v for k, v in raw.items() if v}
+            _tally_index_enumerated(d, n, counts)
     return CotypeTally(d=d, X=X, counts=counts)

@@ -308,8 +308,8 @@ def embed_probability_exact(
     if G.is_trivial:
         return Fraction(1)
     hits = 0
-    for ct, c in tally.counts.items():
-        if embeds(G, AbelianPGroupType.of(G.p, ct.p_part(G.p))):
+    for alpha, c in tally.counts.items():
+        if embeds(G, AbelianPGroupType.of(G.p, p_part(alpha, G.p))):
             hits += c
     return Fraction(hits, tally.total)
 
@@ -330,13 +330,7 @@ class ComparisonReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "tv_distance": self.tv_distance,
-            "per_label": self.per_label,
-            "z_threshold": self.z_threshold,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def compare_to_theory(

@@ -48,7 +48,7 @@ def det_by_elimination(rows) -> int:
 
 def tally_by_full_enumeration(d: int, X: int) -> dict:
     """Cotype counts of index < X with no contraction: the Smith form of every
-    Hermite basis, keyed by Cotype like CotypeTally.counts."""
+    Hermite basis, keyed by cotype tuple like CotypeTally.counts."""
     counts: dict = {}
     for n in range(1, X):
         for basis in enumerate_hnf(d, n):

@@ -203,6 +203,28 @@ class TestInputContracts:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["empirical"]["rank"]["trials"] == 3
 
+    @pytest.mark.parametrize("args", [
+        ("verify", "descent", "--d", "0"),
+        ("verify", "zidentity", "--d", "-3"),
+        ("verify", "oracle", "--emax", "-1"),
+        ("verify", "qident", "--n", "-1"),
+        ("verify", "qident", "--e", "-1"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "10",
+         "--z-threshold", "nan"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "10",
+         "--z-threshold", "inf"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "10",
+         "--z-threshold", "-1"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "10",
+         "--type-cap", "-1"),
+    ])
+    def test_out_of_range_argument_exits_1(self, args):
+        # refused at parse time: no suite runs, no verdict is printed
+        proc = run_cli(*args, timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_exhaustive_without_k_exits_1(self):
         proc = run_cli("simulate", "sublattice", "-d", "2", "-X", "50", "-p", "2",
                        "-n", "10", "--exhaustive", timeout=20)
@@ -242,7 +264,8 @@ ARGVS = st.one_of(
     _command(st.sampled_from(["matrix", "sublattice"]).map(lambda m: ["simulate", m]),
              ("-d", SMALL), ("-k", SMALL), ("-X", st.integers(-2, 60)),
              ("-p", PRIME_OR_NOT), ("-n", st.integers(-2, 40)), ("--seed", SMALL),
-             ("--type-cap", SMALL), ("--exhaustive", None)),
+             ("--type-cap", SMALL), ("--exhaustive", None),
+             ("--z-threshold", st.sampled_from(["nan", "inf", "-1", "0", "4"]))),
     _command(st.sampled_from(["print-local", "coeff"]).map(lambda a: ["zeta", a]),
              ("-d", SMALL), ("-p", PRIME_OR_NOT),
              ("--nu", st.lists(SMALL, max_size=4).map(lambda v: ",".join(map(str, v))))),
@@ -255,6 +278,8 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
     proc = run_cli(*argv, timeout=20)
     assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+    if argv[0] == "verify" and proc.returncode == 0:
+        assert json.loads(proc.stdout)["cases"] > 0, argv
 
 
 def test_runs_without_mpmath():

@@ -121,8 +121,6 @@ class TestSmithForm:
     def test_validation(self):
         with pytest.raises(DomainError):
             lat.smith_normal_form([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(DomainError):
-            lat.SmithForm((3, 4), 0)  # no divisibility
 
     def test_against_minor_oracle_random(self):
         rng = random.Random(20240229)
@@ -215,36 +213,32 @@ class TestSmithForm:
 class TestCotype:
     def test_examples(self):
         eye = lat.HermiteBasis(((1, 0), (0, 1)))
-        assert lat.cotype_of(eye).alpha == (1, 1)
-        assert lat.cotype_of(eye).corank == 0
+        assert lat.cotype_of(eye) == (1, 1)
+        assert lat.corank(lat.cotype_of(eye)) == 0
         two = lat.HermiteBasis(((2, 0), (0, 2)))
-        assert lat.cotype_of(two).alpha == (2, 2)
-        assert lat.cotype_of(two).corank == 2
+        assert lat.cotype_of(two) == (2, 2)
+        assert lat.corank(lat.cotype_of(two)) == 2
         cyc = lat.HermiteBasis(((1, 0), (0, 4)))
-        assert lat.cotype_of(cyc).alpha == (4, 1)
-        assert lat.cotype_of(cyc).corank == 1
+        assert lat.cotype_of(cyc) == (4, 1)
+        assert lat.corank(lat.cotype_of(cyc)) == 1
 
     def test_soundness_over_enumeration(self):
         for d, nmax in [(2, 24), (3, 16)]:
             for n in range(1, nmax + 1):
                 for basis in lat.enumerate_hnf(d, n):
                     ct = lat.cotype_of(basis)
-                    assert ct.index == n
+                    assert math.prod(ct) == n
                     for i in range(d - 1):
-                        assert ct.alpha[i] % ct.alpha[i + 1] == 0
+                        assert ct[i] % ct[i + 1] == 0
 
     def test_p_part(self):
-        ct = lat.Cotype((12, 2, 1))
-        assert ct.p_part(2) == (2, 1)
-        assert ct.p_part(3) == (1,)
-        assert ct.p_part(5) == ()
-        # the same partition from a Smith diagonal, smallest first, with no Cotype
+        ct = (12, 2, 1)
+        assert lat.p_part(ct, 2) == (2, 1)
+        assert lat.p_part(ct, 3) == (1,)
+        assert lat.p_part(ct, 5) == ()
+        # the same partition from a Smith diagonal, smallest first
         assert lat.p_part(reversed((1, 2, 12)), 2) == (2, 1)
         assert lat.p_part((), 2) == ()
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            lat.Cotype((2, 3))
 
 
 class TestTally:
@@ -275,6 +269,23 @@ class TestTally:
         assert t5.total == 15
         assert t5.count((2, 2)) == 1
         assert t5.n_with_corank_at_most(1) == 14
+        # not a cotype: no divisibility chain, wrong length, or index >= X
+        for alpha in [(2, 3), (3, 2), (2,), (2, 2, 1), (4, 2)]:
+            assert t5.count(alpha) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, (60, 40, 20, 12)[d - 1]))),
+        st.sampled_from(lat.TALLY_METHODS))
+    def test_keys_are_cotypes_below_X(self, args, method):
+        # the tally builds its keys with no check: each must be a cotype of index < X
+        d, X = args
+        for alpha, c in lat.tally_cotypes(d, X, method=method).counts.items():
+            assert type(alpha) is tuple and len(alpha) == d
+            assert all(type(a) is int and a >= 1 for a in alpha)
+            assert all(a % b == 0 for a, b in zip(alpha, alpha[1:]))
+            assert math.prod(alpha) < X
+            assert c > 0
 
     def test_totals_match_sieve(self):
         coeffs = dirichlet_coefficients_upto(2, 2000)
