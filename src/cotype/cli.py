@@ -3,8 +3,9 @@
 Subcommands: tally, density, verify, simulate, zeta. Primary output is a single
 deterministic document on stdout (JSON with sorted keys, or CSV/plain text where
 noted); a run manifest (parameters, seed, caps, version, wall time, sha256 of the
-primary output) goes to stderr as one JSON line. Exit codes: 0 success, 1 bad
-arguments or domain errors, 2 resource limit, 3 verification failure.
+primary output, peak RSS) goes to stderr as one JSON line. Exit codes: 0
+success, 1 bad arguments or domain errors, 2 resource limit, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .lattices import (
     tally_cotypes,
     tally_cotypes_at_index,
 )
-from .primes import require_prime
+from .primes import is_prime
 from .qcomb import (
     DEFAULT_PERMUTATION_CAP,
     all_descent_sets,
@@ -91,6 +92,7 @@ def _checked(convert, ok, need: str):
 _DIM = _checked(int, lambda v: v >= 1, ">= 1")
 _COUNT = _checked(int, lambda v: v >= 0, ">= 0")
 _Z_THRESHOLD = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_PRIME = _checked(int, is_prime, "prime")
 
 
 def _dump(obj) -> str:
@@ -212,7 +214,7 @@ def _suite_descent(args) -> list[CaseResult]:
 
 def _suite_oracle(args) -> list[CaseResult]:
     out = []
-    d, p = args.d, require_prime(args.p)
+    d, p = args.d, args.p
     # Refuse an over-cap total before the smaller indices spend their time.
     enumeration_size(d, [p**e for e in range(args.emax + 1)], contracted=True)
     for e in range(args.emax + 1):
@@ -401,7 +403,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--n", type=_COUNT, default=8)
     p_verify.add_argument("--e", type=_COUNT, default=4)
     p_verify.add_argument("--d", type=_DIM, default=6)
-    p_verify.add_argument("--p", type=int, default=2)
+    p_verify.add_argument("--p", type=_PRIME, default=2)
     p_verify.add_argument("--emax", type=_COUNT, default=4)
     p_verify.add_argument("--max-order", type=int, default=64)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -411,7 +413,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("-d", type=int, required=True)
     p_sim.add_argument("-k", type=int, default=None, help="entry bound (matrix model)")
     p_sim.add_argument("-X", type=int, default=None, help="index bound (sublattice model)")
-    p_sim.add_argument("-p", type=int, required=True)
+    p_sim.add_argument("-p", type=_PRIME, required=True)
     p_sim.add_argument("-n", type=int, default=10000, help="number of trials")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--exhaustive", action="store_true",
@@ -425,7 +427,7 @@ def build_parser() -> _Parser:
     p_zeta = sub.add_parser("zeta", help="local factors and their coefficients")
     p_zeta.add_argument("-d", type=int, required=True)
     p_zeta.add_argument("action", choices=("print-local", "coeff"))
-    p_zeta.add_argument("-p", type=int, default=None)
+    p_zeta.add_argument("-p", type=_PRIME, default=None)
     p_zeta.add_argument("--nu", default=None, help="comma-separated exponents")
     p_zeta.set_defaults(handler=_cmd_zeta)
 
@@ -446,6 +448,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     sys.stdout.write(output)
     sys.stdout.flush()
+    import resource  # here, not at the top: --version never needs it
     manifest = {
         "subcommand": args.command,
         "parameters": {
@@ -460,6 +463,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,  # KB on Linux
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     return code

@@ -132,9 +132,9 @@ def smith_normal_form(matrix: Iterable[Iterable[int]]) -> SmithForm:
     for i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D,
     so gcd(s_i, D) = s_i for i <= r: the first r repaired invariants are exact.
     """
-    m = [list(map(int, row)) for row in matrix]
+    m = [[*map(int, row)] for row in matrix]
     n = len(m)
-    if any(len(row) != n for row in m):
+    if [*map(len, m)] != [n] * n:
         raise DomainError("smith_normal_form expects a square matrix")
     if n == 2:
         (a, b), (c, e) = m

@@ -9,9 +9,12 @@ without materializing the sublattice list. Empirical tables are compared
 against the exact predictions from `cotype.zeta` and `cotype.groups` with
 binomial z-score bands.
 
-Reproducibility: each trial gets its own generator seeded from
-sha256(master_seed, trial_index), so a run is a pure function of its
-configuration.
+Reproducibility: trial t of a run with master seed s seeds MT19937 (the
+generator of `random.Random`) with the first 16 bytes of sha256(f"{s}:{t}"),
+read as a big-endian integer. The matrix model then draws its d^2 entries row
+by row with randrange(-k, k+1) semantics; the sublattice model draws its code
+with randrange(N_d(X)) semantics, N_d(X) the number of sublattices of index
+< X. So a run is a pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError, LabelMismatchError, ResourceLimitError
 from .groups import AbelianPGroupType, embeds
@@ -51,8 +54,9 @@ DEFAULT_EXHAUSTIVE_CAP = 10**6
 # d = 8, 1.3 ms at d = 12 and 7 ms at d = 20 (2-vCPU Xeon, Python 3.11).
 MAX_MATRIX_DIM = 20
 # Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
-# form costs about 2 us * d^3, and below d = 3 its fixed 20-30 us takes over.
-# Runs at the cap took 32 s at d = 20 and 13-18 s at d <= 3 (same machine).
+# form costs about 2 us * d^3, and below d = 3 the fixed cost of a trial takes
+# over, 14-23 us, of which the sha256 and the MT19937 seed are about 7.5 us.
+# Runs at the cap took 32 s at d = 20 and 11-14 s at d <= 3 (same machine).
 MAX_TRIAL_WORK = 15 * 10**6
 # Uniform-sublattice sampling materializes per-index weight tables lazily.
 DEFAULT_SUBLATTICE_DIM_CAP = 3
@@ -80,6 +84,12 @@ class SampleConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
+        for name in ("d", "trials", "master_seed", "p", "entry_bound", "index_bound"):
+            value = getattr(self, name)
+            if value is None and name.endswith("_bound"):
+                continue
+            if type(value) is bool or not isinstance(value, int):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.d < 1:
             raise DomainError("d must be positive")
         require_prime(self.p)
@@ -109,11 +119,6 @@ class SampleConfig:
         if self.exhaustive:
             doc.update(trials=self.matrices, master_seed=None)
         return doc
-
-
-def _trial_rng(master_seed: int, trial: int) -> random.Random:
-    digest = hashlib.sha256(f"{master_seed}:{trial}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
 
 
 @dataclass
@@ -192,28 +197,58 @@ class SublatticeSampler:
         return HermiteBasis(self.rows_at(code))
 
 
-def _matrices(cfg: SampleConfig) -> Iterator[Sequence[Sequence[int]]]:
+def _matrices(cfg: SampleConfig) -> Iterator[list[list[int]]]:
     """One integer matrix per trial: the Hermite basis of a uniform sublattice
     of index < X, or entries uniform in [-k, k], or in exhaustive mode every
-    matrix with entries in [-k, k]. Caps are checked before the first draw."""
+    matrix with entries in [-k, k]. Caps are checked before the first draw.
+
+    The draws are those of the module docstring's contract from one generator:
+    each trial reseeds it through the C seed under `random.Random.seed` (which
+    for an int adds only type checks), and each draw below w inlines
+    `Random._randbelow`: getrandbits(w.bit_length()) until the result is < w.
+    """
     d, k = cfg.d, cfg.entry_bound
+    sublattice = cfg.index_bound is not None
     if not cfg.exhaustive and cfg.trials * max(d, 3) ** 3 > MAX_TRIAL_WORK:
         raise ResourceLimitError(f"trials * max(d, 3)^3 exceeds the work cap {MAX_TRIAL_WORK}")
-    if cfg.index_bound is not None:
+    if sublattice:
         sampler = SublatticeSampler(d, cfg.index_bound)
-        draw = lambda rng: sampler.rows_at(rng.randrange(sampler.total))
+        rows_at, w = sampler.rows_at, sampler.total
     elif d > MAX_MATRIX_DIM:
         raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
     elif cfg.exhaustive:
         if cfg.matrices > DEFAULT_EXHAUSTIVE_CAP:
             raise ResourceLimitError(
                 f"exhaustive mode needs {cfg.matrices} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
-        return ([list(flat[i * d : (i + 1) * d]) for i in range(d)]
-                for flat in itertools.product(range(-k, k + 1), repeat=d * d))
+        for flat in itertools.product(range(-k, k + 1), repeat=d * d):
+            yield [list(flat[i * d : (i + 1) * d]) for i in range(d)]
+        return
     else:
-        # randrange(-k, k + 1) is randint(-k, k) without its extra call.
-        draw = lambda rng: [[rng.randrange(-k, k + 1) for _ in range(d)] for _ in range(d)]
-    return (draw(_trial_rng(cfg.master_seed, t)) for t in range(cfg.trials))
+        w = 2 * k + 1
+    rng = random.Random()
+    reseed, bits, b = super(random.Random, rng).seed, rng.getrandbits, w.bit_length()
+    prefix = hashlib.sha256(f"{cfg.master_seed}:".encode())
+    rows = range(d)
+    for t in range(cfg.trials):
+        h = prefix.copy()
+        h.update(b"%d" % t)
+        reseed(int.from_bytes(h.digest()[:16], "big"))
+        if sublattice:
+            r = bits(b)
+            while r >= w:
+                r = bits(b)
+            yield rows_at(r)
+            continue
+        m = []
+        for _ in rows:
+            row = []
+            for _ in rows:
+                r = bits(b)
+                while r >= w:
+                    r = bits(b)
+                row.append(r - k)
+            m.append(row)
+        yield m
 
 
 def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
@@ -222,9 +257,10 @@ def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[i
     Singular draws are not an error: they carry free_rank > 0 and their p-Sylow
     type refers to the torsion part only.
     """
+    p = cfg.p
     for m in _matrices(cfg):
         sf = smith_normal_form(m)
-        yield sf, p_part(reversed(sf.diag), cfg.p)
+        yield sf, p_part(sf.diag[::-1], p)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared independent oracles for the test suite."""
 
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -11,6 +13,14 @@ from cotype.lattices import cotype_of, enumerate_hnf
 from cotype.primes import primes_upto, valuation
 from cotype.qcomb import ZERO
 from cotype.zeta import local_factor
+
+
+def trial_rng(master_seed: int, trial: int) -> random.Random:
+    """The reference generator of a Monte Carlo trial: a fresh random.Random
+    seeded with the first 16 bytes of sha256(f"{master_seed}:{trial}"), read
+    as a big-endian integer."""
+    digest = hashlib.sha256(f"{master_seed}:{trial}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:16], "big"))
 
 
 def det_by_permutations(rows) -> int:

@@ -148,8 +148,12 @@ class TestInputContracts:
         ("zeta", "-d", "2", "coeff", "-p", "4", "--nu", "1,0"),
         ("verify", "oracle", "--p", "4"),
         ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "1", "-n", "10"),
+        # suites that do not read --p still refuse a non-prime one
+        ("verify", "zidentity", "--p", "1"),
+        ("verify", "qident", "--p", "4"),
     ])
     def test_non_prime_p_exits_1(self, args):
+        # refused at parse time, before any suite or model runs
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert "must be prime" in proc.stderr
@@ -236,6 +240,8 @@ class TestInputContracts:
 # case ends in well under a second and 100 of them in about 20 s.
 SMALL = st.integers(-2, 4)
 PRIME_OR_NOT = st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 9])
+NON_PRIMES = {"-1", "0", "1", "4", "6", "9"}
+P_FLAG = {"verify": "--p", "simulate": "-p", "zeta": "-p"}
 
 
 def _flags(*pairs):
@@ -278,6 +284,9 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
     proc = run_cli(*argv, timeout=20)
     assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+    flag = P_FLAG.get(argv[0])
+    if flag in argv and argv[argv.index(flag) + 1] in NON_PRIMES:
+        assert proc.returncode == 1, (argv, proc.stderr)
     if argv[0] == "verify" and proc.returncode == 0:
         assert json.loads(proc.stdout)["cases"] > 0, argv
 
@@ -366,9 +375,20 @@ class TestSimulateCommand:
          "ac17cb980589fb7b99024de4241e477b7dc995fb2b9989a6c5f298b2db5e57e1"),
         ("simulate matrix -d 6 -k 100 -p 2 -n 500 --seed 1",
          "7d40e7b27f28a23a63653d67a22d42c075831617894b8b7056e0ab3481512b2f"),
+        ("simulate matrix -d 2 -k 10000 -p 2 -n 3000 --seed 7",
+         "622f28f577683a5174126e6963acbf37f602c86ea9ad9400e183f862abd4a33d"),
+        ("simulate matrix -d 2 -k 5000000000 -p 2 -n 2000 --seed 3",
+         "d7ae96dff02dd2f98f2699ee36bed6cbfc51c4e6bb473a2f983a37317e905d9d"),
+        ("simulate matrix -d 3 -k 5000000000 -p 3 -n 500 --seed -4",
+         "ebc21f9d9418d61cc891f87b29f628d5399a8a5ba950816df4c251a718c646d9"),
+        ("simulate matrix -d 1 -k 3 -p 2 --exhaustive",
+         "b918b4de16eda2ff2f84abc72d52a969f0455b30ed9350ab4d7681407eb69ca3"),
     ])
     def test_matrix_model_output_is_pinned(self, args, digest):
-        # seeded Smith forms of dense d = 6 and d = 8 matrices, byte for byte
+        # seeded draws and their Smith forms, byte for byte: dense d = 6 and
+        # d = 8 matrices; d = 2 with k = 10^4 (one 32-bit word per draw) and
+        # with k = 5 * 10^9 (several words), also at a negative seed; and an
+        # exhaustive run
         proc = run_cli(*args.split(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
@@ -391,6 +411,12 @@ class TestManifestAndReproducibility:
         ).hexdigest()
         assert manifest["version"]
         assert manifest["parameters"]["X"] == 20
+
+    def test_manifest_records_peak_rss(self):
+        proc = run_cli("tally", "-d", "2", "-X", "20")
+        manifest = json.loads(proc.stderr.splitlines()[-1])
+        assert isinstance(manifest["peak_rss_kb"], int)
+        assert manifest["peak_rss_kb"] > 0
 
     def test_manifest_records_seed(self):
         proc = run_cli("simulate", "matrix", "-d", "2", "-k", "10", "-p", "2",

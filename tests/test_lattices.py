@@ -121,6 +121,9 @@ class TestSmithForm:
     def test_validation(self):
         with pytest.raises(DomainError):
             lat.smith_normal_form([[1, 2, 3], [4, 5, 6]])
+        for ragged in ([[1, 2], [3]], [[1], [2]], [[1, 2], [3, 4, 5]]):
+            with pytest.raises(DomainError):
+                lat.smith_normal_form(ragged)
 
     def test_against_minor_oracle_random(self):
         rng = random.Random(20240229)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cotype import simulate as sim
 from cotype import zeta as zt
@@ -16,7 +17,7 @@ from cotype.errors import DomainError, LabelMismatchError, ResourceLimitError
 from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
 from cotype.lattices import HermiteBasis, cotype_of, enumerate_hnf, p_part, tally_cotypes
 
-from helpers import rank_mod_p, snf_oracle
+from helpers import rank_mod_p, snf_oracle, trial_rng
 
 
 def matrix_cfg(**kw):
@@ -44,6 +45,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             sim.SampleConfig(d=2, trials=10, master_seed=0, p=2,
                              index_bound=50, exhaustive=True)
+
+    @pytest.mark.parametrize("field", [
+        "d", "trials", "master_seed", "p", "entry_bound", "index_bound"])
+    def test_refuses_a_bool_or_non_int(self, field):
+        base = dict(d=2, trials=10, master_seed=1, p=2, entry_bound=2)
+        if field == "index_bound":
+            base = dict(base, entry_bound=None)
+        for bad in (True, 1.5, 2.0, "3"):
+            with pytest.raises(DomainError, match=field):
+                sim.SampleConfig(**dict(base, **{field: bad}))
+
+    def test_negative_seed_is_valid(self):
+        assert matrix_cfg(master_seed=-5).master_seed == -5
 
     def test_json(self):
         cfg = matrix_cfg()
@@ -174,6 +188,48 @@ class TestMatrixModel:
         for sf, parts in sim.sample_cokernel_type(cfg):
             assert sf.free_rank + len(sf.diag) == 2
             assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+
+
+# k = 1; k = 2^j - 1, where a draw is rarely rejected; k = 2^j, where about
+# half the draws are; k > 2^31, where getrandbits spans several 32-bit words
+ENTRY_BOUNDS = st.one_of(
+    st.just(1),
+    st.integers(1, 40).map(lambda j: 2**j - 1),
+    st.integers(0, 40).map(lambda j: 2**j),
+    st.integers(2**31 + 1, 2**80),
+)
+SEEDS = st.integers(-(10**20), 10**20)
+
+
+class TestFastDrawMatchesReference:
+    """`_matrices` against a fresh random.Random and randrange per trial."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(SEEDS, st.integers(1, 60), st.integers(1, 4), ENTRY_BOUNDS)
+    @example(7, 50, 2, 1)
+    @example(7, 50, 2, 2**15 - 1)
+    @example(7, 50, 2, 2**15)
+    @example(-3, 50, 3, 5 * 10**9)
+    def test_matrix_model(self, seed, trials, d, k):
+        cfg = matrix_cfg(d=d, trials=trials, master_seed=seed, entry_bound=k)
+        expected = []
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            expected.append([[rng.randrange(-k, k + 1) for _ in range(d)]
+                             for _ in range(d)])
+        assert list(sim._matrices(cfg)) == expected
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(SEEDS, st.integers(1, 60), st.integers(1, 3), st.integers(2, 400))
+    @example(7, 50, 3, 5000)  # N_3(5000) has 37 bits: multi-word draws
+    @example(7, 50, 1, 2)  # a single sublattice: every draw is code 0
+    @example(7, 50, 1, 65)  # N_1(65) = 2^6: 7-bit draws, about half rejected
+    def test_sublattice_model(self, seed, trials, d, X):
+        cfg = sim.SampleConfig(d=d, trials=trials, master_seed=seed, p=2, index_bound=X)
+        sampler = sim.SublatticeSampler(d, X)
+        expected = [sampler.rows_at(trial_rng(seed, t).randrange(sampler.total))
+                    for t in range(trials)]
+        assert list(sim._matrices(cfg)) == expected
 
 
 class TestTvTrendInEntryBound:
