@@ -91,6 +91,7 @@ def _checked(convert, ok, need: str):
 
 _DIM = _checked(int, lambda v: v >= 1, ">= 1")
 _COUNT = _checked(int, lambda v: v >= 0, ">= 0")
+_MATRIX_CAP = _checked(int, lambda v: 0 <= v <= DEFAULT_ENUM_CAP, f"in [0, {DEFAULT_ENUM_CAP}]")
 _Z_THRESHOLD = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _PRIME = _checked(int, is_prime, "prime")
 
@@ -389,7 +390,7 @@ def build_parser() -> _Parser:
     p_tally.add_argument("--format", choices=("json", "csv"), default="json")
     p_tally.add_argument("--out", default=None, help="write full rows to this path")
     p_tally.add_argument("--method", choices=TALLY_METHODS, default="auto")
-    p_tally.add_argument("--max-matrices", type=int, default=DEFAULT_ENUM_CAP)
+    p_tally.add_argument("--max-matrices", type=_MATRIX_CAP, default=DEFAULT_ENUM_CAP)
     p_tally.set_defaults(handler=_cmd_tally)
 
     p_density = sub.add_parser("density", help="corank densities and residues")

@@ -3,8 +3,8 @@
 Types are partitions (the group of type lambda is the direct sum of Z/p^lambda_i),
 and this module provides conjugation, subgroup and generating-tuple counts,
 automorphism-group orders by three independent routes, subgroup-embedding
-tests, and the Cohen-Lenstra probability masses together with their
-rank-bounded variant.
+tests, and the Cohen-Lenstra probability masses (as exact brackets) together
+with their rank-bounded variant.
 
 One brute-force search is the oracle of every closed form here: it counts the
 tuples of given orders in an explicit group that generate a subgroup of a given
@@ -27,15 +27,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .primes import require_prime, valuation
-from .qcomb import q_binomial, q_pochhammer, value_at_inverse
+from .qcomb import (_POCHHAMMER_DEPTH, _pochhammer_tail, q_binomial, q_pochhammer,
+                    value_at_inverse)
 
-# Truncation depth of the infinite products prod_{i>=1}(1 - p^-i).
-DEFAULT_PRODUCT_TRUNCATION = 64
 # Largest group order the brute-force searches will touch by default.
 DEFAULT_BRUTE_ORDER_CAP = 512
 # Cap on the (span, candidate) pairs of one brute-force step: F_2^6 needs
 # 87,885 (1,395 subspaces of dimension 3 x 63 vectors), F_2^7 338,709.
 MAX_BRUTE_JOINS = 2 * 10**5
+# Cap on the order^2 entries of the addition table of _SmallGroup: order 1024.
+MAX_BRUTE_TABLE = 2**20
 
 
 @dataclass(frozen=True)
@@ -258,14 +259,19 @@ def _generating_tuples_brute(p: int, ambient: tuple[int, ...], lam: tuple[int, .
     lattice so repeated partial spans are counted once. A span is built only
     if its order, |sub| times the order of x modulo sub, can still end at
     p^|lam| with the remaining orders; the last step needs the count alone.
-    ResourceLimitError past max_order elements, or when one step would try
-    more than MAX_BRUTE_JOINS (span, candidate) pairs.
+    ResourceLimitError past max_order elements, past MAX_BRUTE_TABLE entries
+    of the addition table, or when one step would try more than
+    MAX_BRUTE_JOINS (span, candidate) pairs.
     """
     if max_order < 0:
         raise DomainError(f"the brute-force cap must be >= 0, got {max_order}")
     order = p ** sum(ambient)
     if order > max_order:
         raise ResourceLimitError(f"group order {order} exceeds brute-force cap {max_order}")
+    if order * order > MAX_BRUTE_TABLE:
+        raise ResourceLimitError(
+            f"group order {order} needs an addition table of {order * order} entries,"
+            f" more than {MAX_BRUTE_TABLE}")
     G = _SmallGroup(p, ambient)
     times_p = G.times_p
     target = p ** sum(lam)
@@ -346,41 +352,13 @@ def embeds_brute_force(
 # ---------------------------------------------------------------------------
 
 
-def truncated_unit_product(p: int, start: int = 1,
-                           truncation: int = DEFAULT_PRODUCT_TRUNCATION) -> float:
-    """prod_{i=start}^{truncation} (1 - p^-i), exact and then rounded."""
-    return float(value_at_inverse(p, q_pochhammer(start, truncation)))
-
-
-def product_tail_bound(p: int, truncation: int = DEFAULT_PRODUCT_TRUNCATION) -> float:
-    """Bound on |log prod_{i>truncation} (1 - p^-i)|: 2 p^-(B+1) / (1 - p^-1)."""
-    return 2.0 * float(p) ** (-(truncation + 1)) / (1.0 - 1.0 / p)
-
-
-@dataclass(frozen=True)
-class CohenLenstraMass:
-    """Mass of a p-group type: exact 1/|Aut| times a truncated unit product."""
-
-    inv_aut: Fraction
-    normalization: float
-    tail_bound: float
-    truncation: int
-
-    @property
-    def value(self) -> float:
-        return float(self.inv_aut) * self.normalization
-
-
-def cohen_lenstra_mass(
-    G: AbelianPGroupType, truncation: int = DEFAULT_PRODUCT_TRUNCATION
-) -> CohenLenstraMass:
-    """Mass |Aut(G)|^-1 prod_{i=1}^inf (1 - p^-i), product truncated with a
-    recorded tail bound; the exact rational part is returned separately."""
-    inv = Fraction(1, aut_order(G))
-    norm = truncated_unit_product(G.p, 1, truncation)
-    logbound = product_tail_bound(G.p, truncation)
-    tail = float(inv) * norm * math.expm1(logbound)
-    return CohenLenstraMass(inv, norm, tail, truncation)
+def cohen_lenstra_mass(G: AbelianPGroupType) -> tuple[Fraction, Fraction]:
+    """Exact bracket (lo, hi) of the mass |Aut(G)|^-1 prod_{i>=1} (1 - p^-i):
+    hi stops the product at i = _POCHHAMMER_DEPTH, and lo takes off the most the
+    rest can remove (_pochhammer_tail)."""
+    p = G.p
+    hi = Fraction(1, aut_order(G)) * value_at_inverse(p, q_pochhammer(1, _POCHHAMMER_DEPTH))
+    return hi * (1 - _pochhammer_tail(p)), hi
 
 
 def rank_d_mass(G: AbelianPGroupType, d: int) -> Fraction:

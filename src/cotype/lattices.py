@@ -482,8 +482,9 @@ def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
 
 
 def _check_cap(max_matrices: int) -> None:
-    if max_matrices < 0:
-        raise DomainError(f"the matrix cap must be >= 0, got {max_matrices}")
+    if not 0 <= max_matrices <= DEFAULT_ENUM_CAP:
+        raise DomainError(
+            f"the matrix cap must be in [0, {DEFAULT_ENUM_CAP}], got {max_matrices}")
 
 
 def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:

@@ -20,6 +20,8 @@ from .errors import CapExceededError, DomainError
 DEFAULT_PERMUTATION_CAP = 9
 # The inclusion-exclusion table holds 2^(d-1) polynomials of degree < d^2/2.
 MAX_DESCENT_TABLE_DIM = 14
+# Depth B at which every infinite product prod_j (1 - p^-j) is cut.
+_POCHHAMMER_DEPTH = 64
 
 
 class IntPolynomial:
@@ -218,6 +220,14 @@ def value_at_inverse(p: int, num: IntPolynomial, den: IntPolynomial = ONE) -> Fr
     coefficients of f gives the integer p^deg(f) f(1/p), so one Fraction is formed."""
     a, b = (reduce(lambda acc, c: acc * p + c, f.coeffs, 0) for f in (num, den))
     return Fraction(a * p ** den.degree, b * p ** max(num.degree, 0))
+
+
+def _pochhammer_tail(p: int) -> Fraction:
+    """delta_p = p^-B / (p - 1), B = _POCHHAMMER_DEPTH, with
+    1 - delta_p <= prod_{j>B} (1 - p^-j) <= 1: each factor lies in [0, 1],
+    prod (1 - x_j) >= 1 - sum x_j for x_j in [0, 1] (by induction, as
+    (1 - s)(1 - x) >= 1 - s - x), and sum_{j>B} p^-j = p^-B / (p - 1)."""
+    return Fraction(1, p**_POCHHAMMER_DEPTH * (p - 1))
 
 
 def q_int(n: int) -> IntPolynomial:

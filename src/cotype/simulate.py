@@ -90,6 +90,8 @@ class SampleConfig:
                 continue
             if type(value) is bool or not isinstance(value, int):
                 raise DomainError(f"{name} must be an int, got {value!r}")
+        if type(self.exhaustive) is not bool:
+            raise DomainError(f"exhaustive must be a bool, got {self.exhaustive!r}")
         if self.d < 1:
             raise DomainError("d must be positive")
         require_prime(self.p)

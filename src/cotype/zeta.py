@@ -26,6 +26,8 @@ from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
 from .groups import Partition, ambient_subgroup_count, partitions_of
 from .primes import factorize, primes_upto, require_prime
 from .qcomb import (
+    _POCHHAMMER_DEPTH,
+    _pochhammer_tail,
     IntPolynomial,
     ONE,
     ZERO,
@@ -87,13 +89,14 @@ class LocalFactor:
 
 
 @lru_cache(maxsize=None)
-def local_factor(d: int, cap: int = DEFAULT_LOCAL_FACTOR_CAP) -> LocalFactor:
+def local_factor(d: int) -> LocalFactor:
     """Exact symbolic local factor for Z^d; numerator coefficients are the
     descent polynomials."""
     if d < 1:
         raise DomainError("d must be positive")
-    if d > cap:
-        raise CapExceededError(f"local factor for d={d} has 2^{d-1} terms; cap is {cap}")
+    if d > DEFAULT_LOCAL_FACTOR_CAP:
+        raise CapExceededError(
+            f"local factor for d={d} has 2^{d-1} terms; cap is {DEFAULT_LOCAL_FACTOR_CAP}")
     numer = tuple(
         (tuple(sorted(lam.elements)), descent_poly_inclusion_exclusion(lam))
         for lam in all_descent_sets(d)
@@ -201,8 +204,9 @@ def _cocyclic_factor(d: int) -> _Ratio:
     return one_minus_q_pow(1) + one_minus_q_pow(d - 1).shifted(2), one_minus_q_pow(1)
 
 
-def _squarefree_factor(inner_truncation: int) -> _Ratio:
-    return q_pochhammer(2, inner_truncation), ONE
+def _squarefree_factor() -> _Ratio:
+    """prod_{j=2}^{B} (1 - q^j), B = _POCHHAMMER_DEPTH."""
+    return q_pochhammer(2, _POCHHAMMER_DEPTH), ONE
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +394,15 @@ def cocyclic_growth_constant(d: int, prime_cutoff: int) -> EulerProductValue:
     return _euler_product(_cocyclic_factor(d), prime_cutoff, tail_c=2.0, tail_e=2)
 
 
-def squarefree_index_density(
-    prime_cutoff: int, inner_truncation: int = 64
-) -> EulerProductValue:
+def squarefree_index_density(prime_cutoff: int) -> EulerProductValue:
     """Limiting probability (large d) that a random sublattice has squarefree
     index: prod_p prod_{j=2}^inf (1 - p^-j).
 
-    Tail constant: |log local(p)| <= 2 p^-2 for p >= 3. The inner products are
-    truncated at j = inner_truncation, which adds at most 4 * 2^-(B+1) to the
-    log tail.
+    Tail constant: |log local(p)| <= 2 p^-2 for p >= 3. The inner products stop
+    at j = B = _POCHHAMMER_DEPTH. By _pochhammer_tail, that moves log local(p)
+    by at most -log(1 - delta_p) <= delta_p / (1 - delta_2); as
+    sum_{p>=3} delta_p <= sum_{n>=3} n^-B / 2 <= 3^-B <= delta_2 (1 - 2 delta_2),
+    all primes together add at most 2 delta_2 = 2^(1-B) to the log tail.
     """
-    inner_tail = 4.0 * 2.0 ** (-(inner_truncation + 1))
-    return _euler_product(_squarefree_factor(inner_truncation), prime_cutoff,
-                          tail_c=2.0, tail_e=2, extra_log_tail=inner_tail)
+    return _euler_product(_squarefree_factor(), prime_cutoff, tail_c=2.0, tail_e=2,
+                          extra_log_tail=float(2 * _pochhammer_tail(2)))

@@ -55,6 +55,12 @@ class TestTally:
         assert proc.returncode == 2
         assert "resource limit" in proc.stderr
 
+    def test_cap_above_the_default_exits_1_at_parse_time(self):
+        proc = run_cli("tally", "-d", "3", "-X", "2000", "--method", "enumerate",
+                       "--max-matrices", "10000000000", timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert "--max-matrices" in proc.stderr
+
     def test_bad_arguments_exit_code(self):
         assert run_cli("tally", "-d", "1").returncode == 1
         assert run_cli("tally", "-d", "0", "-X", "5").returncode == 1

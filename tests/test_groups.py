@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from mpmath import mp, mpf
 
 from cotype import groups as gr
 from cotype.errors import (
@@ -125,6 +126,13 @@ class TestAutOrder:
         with pytest.raises(ResourceLimitError):
             gr.aut_order(gr.AbelianPGroupType.of(2, (10,)), "brute_force", max_order=64)
 
+    def test_table_cap_refuses_before_building(self):
+        # order 2^13 is under max_order, but its addition table would hold 2^26 entries
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            gr.aut_order(gr.AbelianPGroupType.of(2, (13,)), "brute_force", max_order=10**9)
+        assert time.perf_counter() - start < 1
+
     def test_work_cap_refuses_promptly(self):
         # F_2^7 is under the order cap, but its third step would try 2,667
         # planes x 127 vectors; F_2^6 peaks at 1,395 x 63 and still runs
@@ -234,29 +242,46 @@ class TestGeneratingTuples:
 
 
 class TestCohenLenstraMass:
+    # every type of order <= p^4 at six primes: 72 cases
+    CASES = [(p, parts) for p in (2, 3, 5, 7, 11, 101)
+             for size in range(5) for parts in gr.partitions_of(size)]
+
     def test_trivial_group_normalization(self):
-        m = gr.cohen_lenstra_mass(gr.AbelianPGroupType.of(2, ()))
-        assert abs(m.value - 0.2887880951) < 1e-9
-        assert m.inv_aut == 1
-        assert 0 < m.tail_bound < 1e-18
+        lo, hi = gr.cohen_lenstra_mass(gr.AbelianPGroupType.of(2, ()))
+        assert abs(hi - Fraction("0.2887880951")) < 1e-9
+        assert hi - lo == hi / 2**64
+
+    def test_bracket_contains_the_mass(self):
+        # the oracle needs 2000 bits: at p = 101 the bracket is about 2^-433 wide
+        assert len(self.CASES) == 72
+        with mp.workprec(2000):
+            for p, parts in self.CASES:
+                G = gr.AbelianPGroupType.of(p, parts)
+                lo, hi = gr.cohen_lenstra_mass(G)
+                assert lo < hi and (hi - lo) / hi <= Fraction(1, 2**64), (p, parts)
+                q = mpf(1) / p
+                mass = mp.qp(q, q) / gr.aut_order(G)
+                assert mpf(lo.numerator) / lo.denominator < mass, (p, parts)
+                assert mass < mpf(hi.numerator) / hi.denominator, (p, parts)
 
     def test_mass_ratio_exact(self):
         G = gr.AbelianPGroupType.of(2, (2, 1))
         H = gr.AbelianPGroupType.of(2, (1, 1))
-        mg, mh = gr.cohen_lenstra_mass(G), gr.cohen_lenstra_mass(H)
-        assert mg.inv_aut / mh.inv_aut == Fraction(gr.aut_order(H), gr.aut_order(G))
+        (lo_g, hi_g), (lo_h, hi_h) = gr.cohen_lenstra_mass(G), gr.cohen_lenstra_mass(H)
+        ratio = Fraction(gr.aut_order(H), gr.aut_order(G))
+        assert hi_g / hi_h == lo_g / lo_h == ratio
 
     def test_partial_sums_increase_below_one(self):
         p = 2
         prev = Fraction(0)
+        _, hi = gr.cohen_lenstra_mass(gr.AbelianPGroupType.of(p, ()))
         for bound in range(5):  # groups of order <= p^bound
             total = Fraction(0)
             for size in range(bound + 1):
                 for parts in gr.partitions_of(size):
                     total += Fraction(1, gr.aut_order(gr.AbelianPGroupType.of(p, parts)))
             # times the normalizing product, the masses must stay below 1
-            norm = gr.truncated_unit_product(p)
-            assert float(total) * norm < 1
+            assert total * hi < 1
             assert total > prev
             prev = total
 

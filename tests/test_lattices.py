@@ -105,6 +105,14 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             list(lat.enumerate_hnf(2, 4, max_matrices=-1))
 
+    def test_cap_above_the_default_is_bad_input(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            lat.tally_cotypes(3, 2000, method="enumerate", max_matrices=10**10)
+        with pytest.raises(DomainError):
+            list(lat.enumerate_hnf(2, 4, max_matrices=lat.DEFAULT_ENUM_CAP + 1))
+        assert time.perf_counter() - start < 1
+
 
 class TestSmithForm:
     def test_examples(self):

@@ -56,6 +56,12 @@ class TestConfig:
             with pytest.raises(DomainError, match=field):
                 sim.SampleConfig(**dict(base, **{field: bad}))
 
+    def test_refuses_a_non_bool_exhaustive(self):
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(DomainError, match="exhaustive"):
+                sim.SampleConfig(d=1, trials=5, master_seed=0, p=2, entry_bound=1,
+                                 exhaustive=bad)
+
     def test_negative_seed_is_valid(self):
         assert matrix_cfg(master_seed=-5).master_seed == -5
 

@@ -34,8 +34,9 @@ class TestLocalFactor:
         assert lf.coefficient((1, 2)).coeffs == (0, 0, 0, 1)  # q^3
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            zt.local_factor(20, cap=12)
+        for d in (zt.DEFAULT_LOCAL_FACTOR_CAP + 1, 20):
+            with pytest.raises(CapExceededError):
+                zt.local_factor(d)
 
     def test_denominator_and_pole_normalization(self):
         # at t_j = 0 every local factor is 1 (only Z^d itself contributes)
@@ -225,6 +226,16 @@ class TestEulerProducts:
         assert abs(v.value - target) < 1e-4
         assert v.value == pytest.approx(0.43576, abs=2e-4)
 
+    def test_squarefree_tail_bound_brackets_the_density(self):
+        # prod_{j>=2} 1/zeta(j) at 200 bits; zeta(j) - 1 < 2^-200 past j = 202
+        with mp.workprec(200):
+            target = mpf(1)
+            for j in range(2, 203):
+                target /= mp_zeta(j)
+            for cutoff in (2, 10, 1000, 10**5):
+                v = zt.squarefree_index_density(cutoff)
+                assert abs(mpf(v.value) - target) <= v.tail_bound, cutoff
+
     def test_squarefree_local_p2(self):
         v = zt.squarefree_index_density(2)
         assert v.value == pytest.approx(0.577576, abs=1e-6)
@@ -289,10 +300,10 @@ class TestEngineAgainstDirectProduct:
         assert zt.cocyclic_growth_constant(d, cutoff).value == expected
 
     @PROPERTY
-    @given(st.integers(2, 5000), st.integers(2, 64))
-    def test_squarefree_index_density(self, cutoff, inner):
-        expected = float(euler_product_oracle("squarefree_index_density", cutoff, m=inner))
-        assert zt.squarefree_index_density(cutoff, inner).value == expected
+    @given(st.integers(2, 5000))
+    def test_squarefree_index_density(self, cutoff):
+        expected = float(euler_product_oracle("squarefree_index_density", cutoff, m=64))
+        assert zt.squarefree_index_density(cutoff).value == expected
 
     def test_products_of_the_exact_local_values(self):
         # below 128 every prime is multiplied directly from its exact value
@@ -349,7 +360,7 @@ def _tail_cases():
         if d >= 2:
             yield f"cocyclic d={d}", zt._cocyclic_factor(d), 2, 2, 2
     # cutoff >= 2, so the squarefree tail starts at p = 3: at p = 2, |log| = 0.549
-    yield "squarefree", zt._squarefree_factor(64), 2, 2, 3
+    yield "squarefree", zt._squarefree_factor(), 2, 2, 3
 
 
 class TestTailConstants:
