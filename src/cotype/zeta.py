@@ -156,18 +156,24 @@ def dirichlet_coefficients_upto(d: int, N: int) -> list[int]:
     Returns a list a of length N with a[0] = 0; independent of both the
     enumeration and the q-binomial formulas, so it can referee between them.
     """
+    return _dirichlet_levels(d, N)[-1]
+
+
+def _dirichlet_levels(d: int, N: int) -> list[list[int]]:
+    """Every row of the sieve convolution: row k - 1 holds N_k(n) for n < N,
+    the coefficients of zeta(s) ... zeta(s-(k-1)), for k = 1, ..., d."""
     if d < 1 or N < 1:
         raise DomainError("need d >= 1 and N >= 1")
-    a = [0] + [1] * (N - 1)
+    levels = [[0] + [1] * (N - 1)]
     for j in range(1, d):
-        b = [0] * N
+        a, b = levels[-1], [0] * N
         for n in range(1, N):
             an = a[n]
             if an:
                 for m in range(n, N, n):
                     b[m] += an * (m // n) ** j
-        a = b
-    return a
+        levels.append(b)
+    return levels
 
 
 # ---------------------------------------------------------------------------

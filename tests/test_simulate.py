@@ -1,10 +1,13 @@
 """Tests for the Monte Carlo laboratory and the exact probability helpers."""
 
+import functools
 import hashlib
+import itertools
 import math
 import runpy
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +18,17 @@ from cotype import simulate as sim
 from cotype import zeta as zt
 from cotype.errors import DomainError, LabelMismatchError, ResourceLimitError
 from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
-from cotype.lattices import HermiteBasis, cotype_of, enumerate_hnf, p_part, tally_cotypes
+from cotype.lattices import (
+    HermiteBasis, cotype_of, enumerate_hnf, hermite_diagonals, hermite_matrix, p_part,
+    tally_cotypes)
 
 from helpers import rank_mod_p, snf_oracle, trial_rng
+
+
+@functools.cache
+def sampler_and_cumulative_counts(d, X):
+    return (sim.SublatticeSampler(d, X),
+            list(itertools.accumulate(zt.dirichlet_coefficients_upto(d, X))))
 
 
 def matrix_cfg(**kw):
@@ -305,13 +316,44 @@ class TestUniformSublattices:
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "a5e114ae83ddf7e5f676787a74404a2f8963066c50b1b12e4d4a8b5731f8d8fb")
 
-    @pytest.mark.parametrize("d, X", [(1, 30), (2, 30), (3, 13)])
+    def test_d4_run_is_pinned(self):
+        # captured with the diagonal-table decode, its dimension cap lifted
+        proc = subprocess.run(
+            [sys.executable, "-m", "cotype.cli", "simulate", "sublattice", "-d", "4",
+             "-X", "200", "-p", "3", "-n", "2000", "--seed", "11"],
+            capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "04cf606af8c7abd1b4d7925fabd7d620e58b7990a775ebbec7c113700198b6c9")
+
+    @pytest.mark.parametrize("d, X", [(1, 30), (2, 30), (3, 13), (4, 13), (5, 9)])
     def test_decode_matches_enumeration(self, d, X):
         # the decode order, not just the decoded set: codes run through the
         # indices, then each index's bases in the order of enumerate_hnf
         sampler = sim.SublatticeSampler(d, X)
         assert [sampler.rows_at(c) for c in range(sampler.total)] == [
             b.matrix() for n in range(1, X) for b in enumerate_hnf(d, n)]
+
+    @pytest.mark.parametrize("d, X", [(3, 5000), (6, 2000)])
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_decode_matches_diagonal_tables(self, d, X, data):
+        # the diagonal-table decode as oracle: the index by the cumulative
+        # counts, the diagonal by bisecting hermite_diagonals' offsets, then
+        # the digits by hermite_matrix
+        sampler, cum = sampler_and_cumulative_counts(d, X)
+        code = data.draw(st.integers(0, sampler.total - 1), label="code")
+        n = bisect_right(cum, code)
+        off = code - cum[n - 1]
+        diags, offsets = hermite_diagonals(d, n)
+        i = bisect_right(offsets, off) - 1
+        assert sampler.rows_at(code) == hermite_matrix(diags[i], off - offsets[i])
+
+    def test_sampler_builds_no_diagonal_table(self):
+        hermite_diagonals.cache_clear()
+        sim.run_sublattice_model(
+            sim.SampleConfig(d=3, trials=500, master_seed=7, p=2, index_bound=500))
+        assert hermite_diagonals.cache_info().misses == 0
 
     def test_d1_uniform_over_indices(self):
         sampler = sim.SublatticeSampler(1, 6)
@@ -322,7 +364,7 @@ class TestUniformSublattices:
 
     def test_resource_caps(self):
         with pytest.raises(ResourceLimitError):
-            sim.SublatticeSampler(4, 100)
+            sim.SublatticeSampler(sim.MAX_MATRIX_DIM + 1, 100)
         with pytest.raises(ResourceLimitError):
             sim.SublatticeSampler(2, 10**5)
 
