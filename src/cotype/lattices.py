@@ -133,7 +133,7 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithForm:
     for i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D,
     so gcd(s_i, D) = s_i for i <= r: the first r repaired invariants are exact.
     """
-    m = matrix if isinstance(matrix, (list, tuple)) else [*matrix]
+    m = [*matrix]
     n = len(m)
     if n != 2 and n != 3:
         m = [[*map(int, row)] for row in m]
