@@ -14,8 +14,6 @@ from .qcomb import (
     inversions,
     q_binom_subset,
     q_binomial,
-    q_factorial,
-    q_int,
     q_multinomial,
 )
 from .lattices import (

@@ -18,10 +18,15 @@ index's diagonals with the prefix offsets of their basis counts) and
 tables, and the codec is its oracle. One Smith reduction,
 `smith_normal_form`, serves `cotype_of`, the enumeration oracle and both Monte
 Carlo models of `cotype.simulate`. At n <= 3 it takes the closed form of the
-determinantal divisors; larger matrices are reduced modulo D, one nonzero
-minor of full rank (Hafner-McCurley), so that no entry grows past |D|: a
-Bareiss elimination gives the rank and D (the diagonal's product for a
-triangular basis), and every invariant s_i divides D, so gcd(s_i, D) is exact.
+determinantal divisors. Larger matrices go through a Bareiss elimination,
+which gives the rank r, one nonzero r x r minor D (the diagonal's product for
+a triangular basis) and, at full rank, a multiple g of D_(n-1), the gcd of the
+(n-1)-minors. When g = 1 the form is (1, ..., 1, |det|) at once, as for most
+dense matrices. Otherwise the matrix is reduced modulo g at full rank, or
+modulo D (Hafner-McCurley), so that no entry grows past the modulus: every
+invariant divides D and every one but the last divides g, so gcd(s_i, D) and
+gcd(s_i, g) are exact, and modulo g the last is |det| over the others. A
+pivot that is a unit modulo it clears its column in one pass.
 The finite quotients themselves, as abelian p-groups with their subgroup and
 generating-tuple counts, belong to `cotype.groups`.
 """
@@ -124,14 +129,21 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithForm:
     for k <= r, and the free rank is n - r.
 
     Otherwise a fraction-free (Bareiss) elimination with full pivoting gives
-    the rank r and |D|, D a nonzero r x r minor; for an upper-triangular matrix with a
-    nonzero diagonal, D is the product of the diagonal and the elimination is
-    skipped. Row and column operations then reduce the matrix in Z/DZ, pivoting
-    on the smallest residue, so that no entry grows past D. Each pivot p gives
-    gcd(p, D), and the chain is repaired by gcd/lcm exchanges. Reduction mod D
-    keeps Z^n / (A Z^n + D Z^n), whose invariants are gcd(s_i, D), with s_i = 0
-    for i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D,
-    so gcd(s_i, D) = s_i for i <= r: the first r repaired invariants are exact.
+    the rank r and |D|, D a nonzero r x r minor; for an upper-triangular matrix
+    with a nonzero diagonal, D is the product of the diagonal and the
+    elimination is skipped. At full rank it also gives g, the gcd of |det| and
+    the four (n-1)-minors left in its trailing 2 x 2 block after n - 2 steps,
+    a multiple of D_(n-1). If g = 1, then s_1 = ... = s_(n-1) = 1 and s_n =
+    |det|. Otherwise row and column operations reduce the matrix modulo M = g
+    (full rank) or M = D, pivoting on the smallest residue, so that no entry
+    grows past M: a unit pivot clears its column in one pass, any other by
+    Euclid's descent over the column and row. Each pivot p gives gcd(p, M),
+    and the chain is repaired by gcd/lcm exchanges. Reduction mod M keeps
+    Z^n / (A Z^n + M Z^n), whose invariants are gcd(s_i, M), with s_i = 0 for
+    i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D, and
+    s_1 ... s_(n-1) = D_(n-1) divides g, so the first r (with M = D) or n - 1
+    (with M = g) repaired invariants are exact; with M = g, s_n is |det| over
+    their product.
     """
     m = [*matrix]
     n = len(m)
@@ -164,10 +176,14 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithForm:
         if s2:
             return SmithForm((s1, s2 // s1), 1)
         return SmithForm((s1,), 2) if s1 else SmithForm((), 3)
-    r, D = _rank_and_minor(m)
-    diag = [gcd(p, D) for p in _pivots_mod(m, D)]
-    # A pivot that vanishes mod D stands for gcd(0, D) = D.
-    diag += [D] * (r - len(diag))
+    r, D, g = _rank_and_minor(m)
+    if g == 1:
+        # D_(n-1) divides g: s_1 = ... = s_(n-1) = 1 and s_n = |det|.
+        return SmithForm((1,) * (n - 1) + (D,), 0)
+    M = g or D
+    diag = [gcd(p, M) for p in _pivots_mod(m, M)]
+    # A pivot that vanishes mod M stands for gcd(0, M) = M.
+    diag += [M] * (r - len(diag))
     # Repair the divisibility chain with gcd/lcm exchanges on diagonal pairs.
     changed = True
     while changed:
@@ -175,16 +191,23 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithForm:
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
             if b % a:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
+                c = gcd(a, b)
+                diag[i], diag[i + 1] = c, a * b // c
                 changed = True
+    if g:
+        # Only s_n can exceed gcd(s_n, g): it is |det| / D_(n-1).
+        diag[-1] = D // prod(diag[:-1])
     return SmithForm(tuple(diag[:r]), n - r)
 
 
-def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:
-    """The rank r of a square matrix and |D| for one nonzero r x r minor D (1
-    when r = 0), by Bareiss elimination with full pivoting on a copy; an
-    upper-triangular matrix with a nonzero diagonal gives its diagonal."""
+def _rank_and_minor(m: list[list[int]]) -> tuple[int, int, int]:
+    """The rank r of a square matrix, |D| for one nonzero r x r minor D (1
+    when r = 0), and g, a multiple of D_(n-1), the gcd of the (n-1)-minors:
+    by Bareiss elimination with full pivoting on a copy. After n - 2 steps
+    each entry of the trailing 2 x 2 block is +- an (n-1)-minor (Sylvester's
+    identity), and g is their gcd with the determinant; g = 0 when r < n, and
+    for an upper-triangular matrix with a nonzero diagonal, which gives its
+    diagonal's product as D without elimination."""
     n = len(m)
     D = 1
     for i, row in enumerate(m):
@@ -193,13 +216,16 @@ def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:
         D *= row[i]
     else:
         if D:
-            return n, abs(D)
+            return n, abs(D), 0
     a = [row[:] for row in m]
     prev = 1
+    g = 0
     for k in range(n):
+        if k == n - 2:
+            g = gcd(*a[k][k:], *a[k + 1][k:])
         at = next(((i, j) for i in range(k, n) for j in range(k, n) if a[i][j]), None)
         if at is None:
-            return k, abs(prev)
+            return k, abs(prev), 0
         i, j = at
         a[k], a[i] = a[i], a[k]
         if j != k:
@@ -214,15 +240,16 @@ def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:
             for j in range(k + 1, n):
                 ri[j] = (ri[j] * pk - f * rk[j]) // prev
         prev = pk
-    return n, abs(prev)
+    return n, abs(prev), gcd(g, prev)
 
 
 def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
     """Diagonalize m over Z/DZ, entries kept in [0, D): each step moves the
-    smallest nonzero residue of the trailing block to the pivot and clears its
-    column and row by division with remainder, swapping in any nonzero
-    remainder as the new, smaller pivot. Returns the pivots found before the
-    trailing block vanishes mod D."""
+    smallest nonzero residue of the trailing block to the pivot. A unit clears
+    its column with its inverse mod D; any other pivot clears its column and
+    row by division with remainder, swapping in any nonzero remainder as the
+    new, smaller pivot. Returns the pivots found before the trailing block
+    vanishes mod D."""
     n = len(m)
     m = [[v % D for v in row] for row in m]
     pivots = []
@@ -241,6 +268,20 @@ def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
         if pj != k:
             for row in m[k:]:
                 row[k], row[pj] = row[pj], row[k]
+        if gcd(best, D) == 1:
+            # A unit clears its column in one pass. Column k is then zero
+            # below the pivot, so clearing the row would change no other row.
+            inv = pow(best, -1, D)
+            rk = m[k]
+            for i in range(k + 1, n):
+                ri = m[i]
+                v = ri[k]
+                if v:
+                    q = v * inv % D
+                    for j in range(k + 1, n):
+                        ri[j] = (ri[j] - q * rk[j]) % D
+            pivots.append(best)
+            continue
         while True:
             rk = m[k]
             pivot = rk[k]

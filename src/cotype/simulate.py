@@ -48,14 +48,16 @@ OTHER_LABEL = "other"
 
 # Exhaustive mode must visit (2k+1)^(d^2) matrices; cap that.
 DEFAULT_EXHAUSTIVE_CAP = 10**6
-# The largest d at which one trial with k = 10^4 stays under about 10 ms: the
-# Smith reduction modulo the determinant takes about 0.3 ms per matrix at
-# d = 8, 1.3 ms at d = 12 and 7 ms at d = 20 (2-vCPU Xeon, Python 3.11).
+# A trial with k = 10^4 stays under about 2 ms up to this d: its Smith form,
+# a Bareiss elimination and at most a reduction modulo a multiple of D_(d-1),
+# takes about 0.1 ms per matrix at d = 8, 0.3 ms at d = 12 and 1.4 ms at
+# d = 20 (2-vCPU Xeon, Python 3.11).
 MAX_MATRIX_DIM = 20
 # Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
-# form costs about 2 us * d^3, and below d = 3 the fixed cost of a trial takes
-# over, 14-23 us, of which the sha256 and the MT19937 seed are about 7.5 us.
-# Runs at the cap took 32 s at d = 20 and 11-14 s at d <= 3 (same machine).
+# form costs about 0.2 us * d^3 at k = 10^4, and below d = 3 the fixed cost of
+# a trial takes over, 14-23 us, of which the sha256 and the MT19937 seed are
+# about 7.5 us. Runs at the cap took 3 s at d = 20 and at d = 12, and 11-14 s
+# at d <= 3 (same machine).
 MAX_TRIAL_WORK = 15 * 10**6
 # Uniform-sublattice sampling holds the rows N_1..N_d of sublattice counts
 # below X, built in 0.85 s at d = 20, X = 10^4 (a 32 MB process); X is held
@@ -63,6 +65,10 @@ MAX_TRIAL_WORK = 15 * 10**6
 # 1.8 s at d = 20, 2.0 s at d = 10 and 5.2 s at d = 6, under 35 MB (same machine).
 DEFAULT_SUBLATTICE_DIM_CAP = MAX_MATRIX_DIM
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
+# Entries of a sampler's memo of block tables, which is cleared when full. A
+# table takes up to about 1 KB at d = 20, and a run at d = 3, X = 5000 builds
+# under 10^4 of them.
+MAX_BLOCK_TABLES = 1 << 14
 
 
 def type_label(parts: Iterable[int]) -> str:
@@ -203,6 +209,8 @@ class SublatticeSampler:
             k = d - i
             table = blocks.get((k, n))
             if table is None:
+                if len(blocks) >= MAX_BLOCK_TABLES:
+                    blocks.clear()
                 below, divs = self._levels[k - 2], _divisors(n)
                 table = blocks[k, n] = divs, (
                     0, *itertools.accumulate(a ** (k - 1) * below[n // a] for a in divs))
@@ -350,12 +358,18 @@ def containment_probability_exact(d: int, L: HermiteBasis, X: int) -> Fraction:
 
     Sublattices M <= L correspond to index-< X/D sublattices of L = Z^d
     (D = index of L), so the count is N_d((X-1)//D + 1) over N_d(X); exact 0
-    when X <= D.
+    when X <= D. Capped, like the sampler, which runs the same convolution, at
+    d <= DEFAULT_SUBLATTICE_DIM_CAP and X <= DEFAULT_SUBLATTICE_INDEX_CAP.
     """
     if d != L.dim:
         raise DomainError("dimension mismatch")
     if X < 2:
         raise DomainError("X must be at least 2")
+    if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
+        raise ResourceLimitError(
+            f"exact containment probabilities capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
+            f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
+        )
     D = L.index
     coeffs = dirichlet_coefficients_upto(d, X)
     denom = sum(coeffs[1:X])

@@ -381,6 +381,12 @@ class TestSimulateCommand:
          "ac17cb980589fb7b99024de4241e477b7dc995fb2b9989a6c5f298b2db5e57e1"),
         ("simulate matrix -d 6 -k 100 -p 2 -n 500 --seed 1",
          "7d40e7b27f28a23a63653d67a22d42c075831617894b8b7056e0ab3481512b2f"),
+        ("simulate matrix -d 6 -k 100 -p 2 -n 5000 --seed 1",
+         "2df1810369d6524106f083ee36130875aeca90552d73ae343a3de81de0e3059c"),
+        ("simulate matrix -d 12 -k 3 -p 2 -n 2000 --seed 4",
+         "33244c21c323530e52e1f740ca2ea777f607202ca2b313e49bd277fc033d7350"),
+        ("simulate matrix -d 20 -k 10000 -p 2 -n 300 --seed 1",
+         "d2a29988c717f2d0d2e8482d056d3f3cae5311f73e738382632dd3c27afe524f"),
         ("simulate matrix -d 2 -k 10000 -p 2 -n 3000 --seed 7",
          "622f28f577683a5174126e6963acbf37f602c86ea9ad9400e183f862abd4a33d"),
         ("simulate matrix -d 2 -k 5000000000 -p 2 -n 2000 --seed 3",
@@ -391,10 +397,10 @@ class TestSimulateCommand:
          "b918b4de16eda2ff2f84abc72d52a969f0455b30ed9350ab4d7681407eb69ca3"),
     ])
     def test_matrix_model_output_is_pinned(self, args, digest):
-        # seeded draws and their Smith forms, byte for byte: dense d = 6 and
-        # d = 8 matrices; d = 2 with k = 10^4 (one 32-bit word per draw) and
-        # with k = 5 * 10^9 (several words), also at a negative seed; and an
-        # exhaustive run
+        # seeded draws and their Smith forms, byte for byte: dense d = 6, 8,
+        # 12 and 20 matrices; d = 2 with k = 10^4 (one 32-bit word per draw)
+        # and with k = 5 * 10^9 (several words), also at a negative seed; and
+        # an exhaustive run
         proc = run_cli(*args.split(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

@@ -4,15 +4,18 @@ import json
 import math
 import random
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cotype import lattices as lat
 from cotype.errors import DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
-from helpers import det_by_elimination, rank_mod_p, snf_oracle, tally_by_full_enumeration
+from helpers import (
+    det_by_elimination, det_by_permutations, rank_mod_p, snf_oracle, tally_by_full_enumeration)
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -219,6 +222,106 @@ class TestSmithForm:
                 assert d - divisible - sf.free_rank == rank_mod_p(rows, p), (d, p)
             if not free_rank:
                 assert math.prod(sf.diag) == abs(det_by_elimination(rows))
+
+
+@contextmanager
+def pivot_calls():
+    """Record (matrix, modulus, pivots) for every call of lattices._pivots_mod."""
+    calls = []
+    real = lat._pivots_mod
+
+    def counted(m, D):
+        pivots = real(m, D)
+        calls.append((m, D, pivots))
+        return pivots
+
+    with mock.patch.object(lat, "_pivots_mod", counted):
+        yield calls
+
+
+def _is_unit_then_non_unit(m, D, pivots):
+    """The first step's smallest residue is a unit mod D, so the unit branch
+    took it; a later pivot is not, so the Euclid descent found it."""
+    first = min((v % D for row in m for v in row if v % D), default=0)
+    return math.gcd(first, D) == 1 and any(math.gcd(p, D) > 1 for p in pivots[1:])
+
+
+class TestSmithKernelBranches:
+    # The draws of each shape must reach the branches listed for it.
+    EXPECTED = {
+        "dense": ("certified", "refused, s_(n-1) = 1"),
+        "scaled": ("s_(n-1) > 1",),
+        "deficient": ("rank-deficient",),
+        "upper": ("triangular",),
+        "unit": ("unit next to non-unit",),
+    }
+
+    @staticmethod
+    def _rows(data, shape, n):
+        rows = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+        if shape == "scaled":
+            # c divides every (n-1)-minor, each of which keeps one of the two
+            # rows, so it divides D_(n-1) and s_(n-1).
+            c = data.draw(st.sampled_from([2, 3, 4, 6]), label="c")
+            for i in data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2)):
+                rows[i] = [c * v for v in rows[i]]
+        elif shape == "deficient":
+            a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        elif shape in ("upper", "unit"):
+            # "unit" diagonals make residues mod their product both units and not
+            diag = st.sampled_from([1, 2, 4, 6, 8]) if shape == "unit" else st.integers(1, 12)
+            rows = [[data.draw(diag) if j == i else v if j > i else 0
+                     for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        return rows
+
+    @pytest.mark.parametrize("shape", sorted(EXPECTED))
+    def test_branches_against_minor_oracle(self, shape):
+        hits = dict.fromkeys(self.EXPECTED[shape], 0)
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(4, 6), label="n")
+            rows = self._rows(data, shape, n)
+            with pivot_calls() as calls:
+                sf = lat.smith_normal_form(rows)
+            assert (sf.diag, sf.free_rank) == snf_oracle(rows), rows
+            upper = all(rows[i][i] and not any(rows[i][:i]) for i in range(n))
+            if not calls:
+                branch = "certified"
+            elif sf.free_rank:
+                branch = "rank-deficient"
+            elif upper:
+                branch = "triangular"
+                assert calls[0][1] == math.prod(sf.diag)
+            else:
+                branch = "s_(n-1) > 1" if sf.diag[-2] > 1 else "refused, s_(n-1) = 1"
+            reached = {branch}
+            if any(_is_unit_then_non_unit(*call) for call in calls):
+                reached.add("unit next to non-unit")
+            for key in reached & hits.keys():
+                hits[key] += 1
+
+        check()
+        assert all(hits.values()), hits
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_certificate_is_the_gcd_of_the_trailing_minors(self, data):
+        # With nonzero leading principal minors the elimination swaps nothing,
+        # so after n - 2 steps its trailing 2 x 2 block holds the (n-1)-minors
+        # on rows and columns 0..n-3 and one of the last two. The modular
+        # reduction is skipped exactly when their gcd with det is 1.
+        n = data.draw(st.integers(4, 6), label="n")
+        rows = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        assume(all(det_by_permutations([r[:k] for r in rows[:k]]) for k in range(1, n + 1)))
+        head = list(range(n - 2))
+        minors = [det_by_permutations([[rows[i][j] for j in head + [jj]] for i in head + [ii]])
+                  for ii in (n - 2, n - 1) for jj in (n - 2, n - 1)]
+        with pivot_calls() as calls:
+            lat.smith_normal_form(rows)
+        assert (not calls) == (math.gcd(*minors, det_by_permutations(rows)) == 1), rows
 
 
 class TestCotype:

@@ -7,6 +7,7 @@ import math
 import runpy
 import subprocess
 import sys
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -349,6 +350,20 @@ class TestUniformSublattices:
         i = bisect_right(offsets, off) - 1
         assert sampler.rows_at(code) == hermite_matrix(diags[i], off - offsets[i])
 
+    def test_block_memo_is_bounded(self, monkeypatch):
+        # rows are the same whether the memo holds every table or is cleared
+        # every third one, in code order, then strided and reversed
+        full = sim.SublatticeSampler(4, 30)
+        codes = list(range(full.total))
+        want = [full.rows_at(c) for c in codes]
+        assert len(full._blocks) > 3
+        monkeypatch.setattr(sim, "MAX_BLOCK_TABLES", 3)
+        tiny = sim.SublatticeSampler(4, 30)
+        order = codes + codes[::7] + codes[::-3]
+        for c in order:
+            assert tiny.rows_at(c) == want[c]
+            assert len(tiny._blocks) <= 3
+
     def test_sampler_builds_no_diagonal_table(self):
         hermite_diagonals.cache_clear()
         sim.run_sublattice_model(
@@ -404,6 +419,17 @@ class TestUniformSublattices:
 
 
 class TestContainment:
+    def test_refuses_past_the_sampler_caps(self):
+        start = time.perf_counter()
+        L = HermiteBasis(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ResourceLimitError):
+            sim.containment_probability_exact(3, L, 3 * 10**5)
+        d = sim.DEFAULT_SUBLATTICE_DIM_CAP + 1
+        with pytest.raises(ResourceLimitError):
+            sim.containment_probability_exact(d, HermiteBasis([[int(i == j) for j in range(d)]
+                                                               for i in range(d)]), 100)
+        assert time.perf_counter() - start < 1
+
     def test_exact_one_half(self):
         L = HermiteBasis(((2,),))
         assert sim.containment_probability_exact(1, L, 11) == Fraction(1, 2)
