@@ -25,8 +25,7 @@ a triangular basis) and, at full rank, a multiple g of D_(n-1), the gcd of the
 dense matrices. Otherwise the matrix is reduced modulo g at full rank, or
 modulo D (Hafner-McCurley), so that no entry grows past the modulus: every
 invariant divides D and every one but the last divides g, so gcd(s_i, D) and
-gcd(s_i, g) are exact, and modulo g the last is |det| over the others. A
-pivot that is a unit modulo it clears its column in one pass.
+gcd(s_i, g) are exact, and modulo g the last is |det| over the others.
 The finite quotients themselves, as abelian p-groups with their subgroup and
 generating-tuple counts, belong to `cotype.groups`.
 """
@@ -136,14 +135,12 @@ def smith_normal_form(matrix: Iterable[Sequence[int]]) -> SmithForm:
     a multiple of D_(n-1). If g = 1, then s_1 = ... = s_(n-1) = 1 and s_n =
     |det|. Otherwise row and column operations reduce the matrix modulo M = g
     (full rank) or M = D, pivoting on the smallest residue, so that no entry
-    grows past M: a unit pivot clears its column in one pass, any other by
-    Euclid's descent over the column and row. Each pivot p gives gcd(p, M),
-    and the chain is repaired by gcd/lcm exchanges. Reduction mod M keeps
-    Z^n / (A Z^n + M Z^n), whose invariants are gcd(s_i, M), with s_i = 0 for
-    i > r. Since s_1 ... s_r is the gcd of the r x r minors, it divides D, and
-    s_1 ... s_(n-1) = D_(n-1) divides g, so the first r (with M = D) or n - 1
-    (with M = g) repaired invariants are exact; with M = g, s_n is |det| over
-    their product.
+    grows past M. Each pivot p gives gcd(p, M), and the chain is repaired by
+    gcd/lcm exchanges. Reduction mod M keeps Z^n / (A Z^n + M Z^n), whose
+    invariants are gcd(s_i, M), with s_i = 0 for i > r. Since s_1 ... s_r is
+    the gcd of the r x r minors, it divides D, and s_1 ... s_(n-1) = D_(n-1)
+    divides g, so the first r (with M = D) or n - 1 (with M = g) repaired
+    invariants are exact; with M = g, s_n is |det| over their product.
     """
     m = [*matrix]
     n = len(m)
@@ -245,11 +242,10 @@ def _rank_and_minor(m: list[list[int]]) -> tuple[int, int, int]:
 
 def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
     """Diagonalize m over Z/DZ, entries kept in [0, D): each step moves the
-    smallest nonzero residue of the trailing block to the pivot. A unit clears
-    its column with its inverse mod D; any other pivot clears its column and
-    row by division with remainder, swapping in any nonzero remainder as the
-    new, smaller pivot. Returns the pivots found before the trailing block
-    vanishes mod D."""
+    smallest nonzero residue of the trailing block to the pivot and clears its
+    column and row by division with remainder, swapping in any nonzero
+    remainder as the new, smaller pivot. Returns the pivots found before the
+    trailing block vanishes mod D."""
     n = len(m)
     m = [[v % D for v in row] for row in m]
     pivots = []
@@ -268,20 +264,6 @@ def _pivots_mod(m: list[list[int]], D: int) -> list[int]:
         if pj != k:
             for row in m[k:]:
                 row[k], row[pj] = row[pj], row[k]
-        if gcd(best, D) == 1:
-            # A unit clears its column in one pass. Column k is then zero
-            # below the pivot, so clearing the row would change no other row.
-            inv = pow(best, -1, D)
-            rk = m[k]
-            for i in range(k + 1, n):
-                ri = m[i]
-                v = ri[k]
-                if v:
-                    q = v * inv % D
-                    for j in range(k + 1, n):
-                        ri[j] = (ri[j] - q * rk[j]) % D
-            pivots.append(best)
-            continue
         while True:
             rk = m[k]
             pivot = rk[k]

@@ -56,8 +56,8 @@ MAX_MATRIX_DIM = 20
 # Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
 # form costs about 0.2 us * d^3 at k = 10^4, and below d = 3 the fixed cost of
 # a trial takes over, 14-23 us, of which the sha256 and the MT19937 seed are
-# about 7.5 us. Runs at the cap took 3 s at d = 20 and at d = 12, and 11-14 s
-# at d <= 3 (same machine).
+# about 7.5 us. Runs at the cap took 2-3.5 s at d = 20 and at d = 12, and
+# 11-14 s at d <= 3 (same machine).
 MAX_TRIAL_WORK = 15 * 10**6
 # Uniform-sublattice sampling holds the rows N_1..N_d of sublattice counts
 # below X, built in 0.85 s at d = 20, X = 10^4 (a 32 MB process); X is held
