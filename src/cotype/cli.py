@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import CapExceededError, CotypeError, DomainError, ResourceLimitError
+from .errors import CotypeError, DomainError, ResourceLimitError
 from .groups import (
     AbelianPGroupType,
     aut_order,
@@ -67,6 +67,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
+
+# Caps on the verify suites' size flags. qident's telescope checks grow with n
+# and e together, its subset identities with d: `--n 20 --e 20 --d 10` takes
+# 2.2-2.4 s, `--n 24 --e 24` 5.2 s and `--d 12` 4.0 s. `verify zidentity --d 20`
+# takes 0.9 s and `--d 24` 1.8 s (2-vCPU Xeon, Python 3.11).
+MAX_QIDENT_SIZE = 20  # --n and --e
+MAX_QIDENT_DIM = 10
+MAX_ZIDENTITY_DIM = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,6 +176,9 @@ class CaseResult:
 
 
 def _suite_qident(args) -> list[CaseResult]:
+    if max(args.n, args.e) > MAX_QIDENT_SIZE or args.d > MAX_QIDENT_DIM:
+        raise ResourceLimitError(f"verify qident is capped at --n, --e <= {MAX_QIDENT_SIZE}"
+                                 f" and --d <= {MAX_QIDENT_DIM}")
     out = []
     for n in range(args.n + 1):
         for e in range(args.e + 1):
@@ -185,8 +196,8 @@ def _suite_qident(args) -> list[CaseResult]:
 def _suite_descent(args) -> list[CaseResult]:
     if args.d > DEFAULT_PERMUTATION_CAP:
         # Refuse before the smaller d spend factorial time.
-        raise CapExceededError(f"verify descent enumerates d! permutations; "
-                               f"cap is d <= {DEFAULT_PERMUTATION_CAP}")
+        raise ResourceLimitError(f"verify descent enumerates d! permutations; "
+                                 f"cap is d <= {DEFAULT_PERMUTATION_CAP}")
     out = []
     for d in range(1, args.d + 1):
         total_at_one = 0
@@ -252,6 +263,8 @@ def _suite_autorder(args) -> list[CaseResult]:
 
 
 def _suite_zidentity(args) -> list[CaseResult]:
+    if args.d > MAX_ZIDENTITY_DIM:
+        raise ResourceLimitError(f"verify zidentity is capped at --d <= {MAX_ZIDENTITY_DIM}")
     out = []
     for d in range(1, args.d + 1):
         for m in range(1, d + 1):
@@ -441,7 +454,7 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     try:
         code, output = args.handler(args)
-    except (ResourceLimitError, CapExceededError) as exc:
+    except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except (DomainError, CotypeError, ValueError) as exc:

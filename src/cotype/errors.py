@@ -9,10 +9,6 @@ class DomainError(CotypeError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class CapExceededError(CotypeError):
-    """A configurable size cap (e.g. factorial enumeration limit) was exceeded."""
-
-
 class ResourceLimitError(CotypeError):
     """An enumeration or sampling run would exceed its resource budget."""
 

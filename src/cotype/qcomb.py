@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
-from .errors import CapExceededError, DomainError
+from .errors import DomainError, ResourceLimitError
 
 # Factorial-time permutation enumeration is gated behind this cap.
 DEFAULT_PERMUTATION_CAP = 9
@@ -392,7 +392,7 @@ def descent_poly_inclusion_exclusion(lam: DescentSet) -> IntPolynomial:
     """w(d, lambda) as the alternating sum over mu <= lambda of subset binomials,
     read from the table of every descent set of its d."""
     if lam.d > MAX_DESCENT_TABLE_DIM:
-        raise CapExceededError(f"the descent table is capped at d <= {MAX_DESCENT_TABLE_DIM}")
+        raise ResourceLimitError(f"the descent table is capped at d <= {MAX_DESCENT_TABLE_DIM}")
     return _descent_polys_from_subsets(lam.d)[frozenset(lam.elements)]
 
 
@@ -439,7 +439,7 @@ def descent_poly_permutations(
 ) -> IntPolynomial:
     """w(d, lambda) as sum of q^inv(pi) over permutations with descent set lambda."""
     if lam.d > cap:
-        raise CapExceededError(
+        raise ResourceLimitError(
             f"permutation enumeration needs {lam.d}! steps; cap is d <= {cap}"
         )
     table = _descent_polys_from_permutations(lam.d)

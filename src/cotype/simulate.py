@@ -41,7 +41,7 @@ from .lattices import (
     tally_cotypes,
 )
 from .primes import require_prime
-from .zeta import _dirichlet_levels, dirichlet_coefficients_upto
+from .zeta import _dirichlet_levels
 
 FREE_LABEL = "free part"
 OTHER_LABEL = "other"
@@ -65,10 +65,6 @@ MAX_TRIAL_WORK = 15 * 10**6
 # 1.8 s at d = 20, 2.0 s at d = 10 and 5.2 s at d = 6, under 35 MB (same machine).
 DEFAULT_SUBLATTICE_DIM_CAP = MAX_MATRIX_DIM
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
-# Entries of a sampler's memo of block tables, which is cleared when full. A
-# table takes up to about 1 KB at d = 20, and a run at d = 3, X = 5000 builds
-# under 10^4 of them.
-MAX_BLOCK_TABLES = 1 << 14
 
 
 def type_label(parts: Iterable[int]) -> str:
@@ -138,17 +134,16 @@ class EmpiricalTable:
     counts: dict[str, int]
     trials: int
 
-    def bucketed(self, keep: Iterable[str], other_label: str = OTHER_LABEL
-                 ) -> "EmpiricalTable":
-        """Collapse every label outside `keep` into a single bucket."""
+    def bucketed(self, keep: Iterable[str]) -> "EmpiricalTable":
+        """Collapse every label outside `keep` into the OTHER_LABEL bucket."""
         keep = set(keep)
         counts = {label: 0 for label in keep}
-        counts[other_label] = 0
+        counts[OTHER_LABEL] = 0
         for label, c in self.counts.items():
             if label in keep:
                 counts[label] += c
             else:
-                counts[other_label] += c
+                counts[OTHER_LABEL] += c
         return EmpiricalTable(counts, self.trials)
 
     def to_json_dict(self) -> dict:
@@ -173,12 +168,13 @@ class SublatticeSampler:
     A draw picks an integer in [0, N_d(X)) and decodes it positionally: first
     the index n, by bisection over the cumulative counts, then one row per
     level. With k rows left at index n, the codes run in one block per divisor
-    a of n, ascending, of a^(k-1) N_(k-1)(n/a) codes. Inside the block found
-    by bisection, the offset mod a^(k-1) gives the row's digits, least
-    significant first, and the offset // a^(k-1) the code of the remaining
-    rows at index n/a. This is the order of `lattices.hermite_diagonals` and
-    `lattices.hermite_matrix`, from tables of tau(n) offsets per level and
-    index. No rejection, no materialized list.
+    a of n, ascending, of a^(k-1) N_(k-1)(n/a) codes. The block is found by
+    walking the divisors down from n and subtracting block sizes from N_k(n)
+    until the offset fits; then the offset mod a^(k-1) gives the row's digits,
+    least significant first, and the offset // a^(k-1) the code of the
+    remaining rows at index n/a. This is the order of
+    `lattices.hermite_diagonals` and `lattices.hermite_matrix`, read off the
+    one table of counts N_1, ..., N_d. No rejection, no materialized list.
     """
 
     def __init__(self, d: int, X: int):
@@ -194,7 +190,6 @@ class SublatticeSampler:
         self._levels = _dirichlet_levels(d, X)
         self._cum = list(itertools.accumulate(self._levels[-1]))
         self.total = self._cum[-1]
-        self._blocks: dict = {}  # (k, n) -> (divisors a of n, their blocks' prefix offsets)
 
     def rows_at(self, code: int) -> list[list[int]]:
         """The Hermite matrix of the code-th sublattice in the canonical order,
@@ -203,21 +198,20 @@ class SublatticeSampler:
             raise DomainError("code out of range")
         n = bisect_right(self._cum, code)
         off = code - self._cum[n - 1]
-        d, blocks = self.d, self._blocks
+        d = self.d
         rows = []
         for i in range(d - 1):
             k = d - i
-            table = blocks.get((k, n))
-            if table is None:
-                if len(blocks) >= MAX_BLOCK_TABLES:
-                    blocks.clear()
-                below, divs = self._levels[k - 2], _divisors(n)
-                table = blocks[k, n] = divs, (
-                    0, *itertools.accumulate(a ** (k - 1) * below[n // a] for a in divs))
-            divs, offsets = table
-            j = bisect_right(offsets, off) - 1
-            a = divs[j]
-            off, digits = divmod(off - offsets[j], a ** (k - 1))
+            below = self._levels[k - 2]
+            # The block of a holds about a n^(k-2) codes, so walk down from the
+            # last one: start is where the current block begins.
+            start = self._levels[k - 1][n]
+            for a in reversed(_divisors(n)):
+                step = a ** (k - 1)
+                start -= step * below[n // a]
+                if off >= start:
+                    break
+            off, digits = divmod(off - start, step)
             row = [0] * d
             row[i] = a
             for c in range(i + 1, d):
@@ -358,32 +352,19 @@ def containment_probability_exact(d: int, L: HermiteBasis, X: int) -> Fraction:
 
     Sublattices M <= L correspond to index-< X/D sublattices of L = Z^d
     (D = index of L), so the count is N_d((X-1)//D + 1) over N_d(X); exact 0
-    when X <= D. Capped, like the sampler, which runs the same convolution, at
-    d <= DEFAULT_SUBLATTICE_DIM_CAP and X <= DEFAULT_SUBLATTICE_INDEX_CAP.
+    when X <= D. Both are read off the cumulative counts of
+    `SublatticeSampler(d, X)`, so the sampler's caps apply.
     """
     if d != L.dim:
         raise DomainError("dimension mismatch")
-    if X < 2:
-        raise DomainError("X must be at least 2")
-    if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
-        raise ResourceLimitError(
-            f"exact containment probabilities capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
-            f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
-        )
-    D = L.index
-    coeffs = dirichlet_coefficients_upto(d, X)
-    denom = sum(coeffs[1:X])
-    K = (X - 1) // D
-    numer = sum(coeffs[1 : K + 1])
-    return Fraction(numer, denom)
+    sampler = SublatticeSampler(d, X)
+    return Fraction(sampler._cum[(X - 1) // L.index], sampler.total)
 
 
-def embed_probability_exact(
-    d: int, G: AbelianPGroupType, X: int, method: str = "auto"
-) -> Fraction:
+def embed_probability_exact(d: int, G: AbelianPGroupType, X: int) -> Fraction:
     """Exact fraction of sublattices of index < X whose quotient contains a copy
     of G, via the cotype tally and the part-wise embedding criterion."""
-    tally = tally_cotypes(d, X, method=method)
+    tally = tally_cotypes(d, X)
     if G.is_trivial:
         return Fraction(1)
     hits = 0

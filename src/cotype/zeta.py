@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceededError, DomainError, NotWeaklyDecreasingError
+from .errors import DomainError, NotWeaklyDecreasingError, ResourceLimitError
 from .groups import Partition, ambient_subgroup_count, partitions_of
 from .primes import factorize, primes_upto, require_prime
 from .qcomb import (
@@ -41,6 +41,18 @@ from .qcomb import (
 
 # The numerator of the local factor has 2^(d-1) terms.
 DEFAULT_LOCAL_FACTOR_CAP = 12
+# local_coefficient's value is below 2^(d + E log2 p), E = sum_j (d - 2j + 1) nu_j
+# (the product of q-binomials [n, k]_p < 2^k p^(k(n-k))), and it multiplies nu_1
+# factors. Capping both at this many keeps the value under Python's 4,300-digit
+# int-to-str limit; at the cap (d = 3, p = 2, nu = (6998, 0, 0)) it takes 0.1 s.
+MAX_COEFFICIENT_BITS = 14_000
+# Corank densities and residues: `density -d 40 -m 20` takes 1.1 s and
+# `-d 48 -m 24` 2.0 s, growing with d and with m near d/2, and `-d 150 -m 1`
+# outgrows the int-to-str limit. The primes up to the cutoff are held as a
+# list: a 10^7 cutoff takes 1.7 s and 128 MB, 3 * 10^7 takes 327 MB (2-vCPU
+# Xeon, Python 3.11).
+MAX_CORANK_DIM = 40
+MAX_PRIME_CUTOFF = 10**7
 # Euler products: the primes multiplied directly (up to a power of two, P0);
 # the fixed-point bits of every integer in the engine; the log-series order K,
 # past which p^-k < 2^-_FIXED_BITS for every p > P0, so that every fixed-point
@@ -95,7 +107,7 @@ def local_factor(d: int) -> LocalFactor:
     if d < 1:
         raise DomainError("d must be positive")
     if d > DEFAULT_LOCAL_FACTOR_CAP:
-        raise CapExceededError(
+        raise ResourceLimitError(
             f"local factor for d={d} has 2^{d-1} terms; cap is {DEFAULT_LOCAL_FACTOR_CAP}")
     numer = tuple(
         (tuple(sorted(lam.elements)), descent_poly_inclusion_exclusion(lam))
@@ -123,6 +135,11 @@ def local_coefficient(d: int, p: int, nu) -> int:
     """
     require_prime(p)
     nu = _validate_exponents(d, nu)
+    bits = d + sum((d - 2 * j + 1) * v for j, v in enumerate(nu, 1)) * math.log2(p)
+    if max(nu, default=0) > MAX_COEFFICIENT_BITS or bits > MAX_COEFFICIENT_BITS:
+        raise ResourceLimitError(
+            f"nu_1 and the coefficient's size ({bits:.0f} bits) are each capped at"
+            f" {MAX_COEFFICIENT_BITS}")
     return ambient_subgroup_count(d, Partition.of(nu), p)
 
 
@@ -188,6 +205,8 @@ def _durfee_sum(d: int, m: int) -> IntPolynomial:
     """sum_{i=0}^{m} [d choose i]_q q^(i^2) prod_{j=i+1}^{m} (1-q^j), by Horner."""
     if not 1 <= m <= d:
         raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
+    if d > MAX_CORANK_DIM:
+        raise ResourceLimitError(f"corank densities are capped at d <= {MAX_CORANK_DIM}")
     acc = ZERO
     for i in range(m + 1):
         acc = acc * one_minus_q_pow(i) + q_binomial(d, i).shifted(i * i)
@@ -337,6 +356,8 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     and S_k = sum_p p^-k, times the exact value at each prime up to it."""
     if cutoff < 2:
         raise DomainError("prime cutoff must be at least 2")
+    if cutoff > MAX_PRIME_CUTOFF:
+        raise ResourceLimitError(f"the prime cutoff is capped at {MAX_PRIME_CUTOFF}")
     num, den = factor
     primes = primes_upto(cutoff)
     n_series, sums = _power_sums(cutoff)

@@ -4,13 +4,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotype import cli
 from cotype.simulate import MAX_MATRIX_DIM
-from cotype.zeta import dirichlet_coefficients_upto
+from cotype.zeta import (
+    MAX_COEFFICIENT_BITS, MAX_CORANK_DIM, MAX_PRIME_CUTOFF, dirichlet_coefficients_upto)
 
 
 def run_cli(*args, timeout=None):
@@ -212,6 +214,56 @@ class TestInputContracts:
                        "-n", "3", timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["empirical"]["rank"]["trials"] == 3
+
+    @pytest.mark.parametrize("args", [
+        # C(2 + 62, 2) = 2016 and C(20 + 4, 20) = 10,626 types, past MAX_TYPE_LABELS
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "62"),
+        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "4"),
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
+         "--type-cap", "100000"),
+        ("density", "-d", str(MAX_CORANK_DIM + 1), "-m", "1"),
+        ("density", "-d", "400", "-m", "1"),
+        ("density", "-d", "2", "-m", "1", "--cutoff", str(MAX_PRIME_CUTOFF + 1)),
+        # nu = (e, 0, 0) at p = 2 bounds the coefficient by 2^(3 + 2e)
+        ("zeta", "-d", "3", "coeff", "-p", "2", "--nu", f"{MAX_COEFFICIENT_BITS // 2 - 1},0,0"),
+        ("zeta", "-d", "3", "coeff", "-p", "2", "--nu", "1000000,0,0"),
+        ("zeta", "-d", "1", "coeff", "-p", "2", "--nu", str(MAX_COEFFICIENT_BITS + 1)),
+        ("verify", "qident", "--n", str(cli.MAX_QIDENT_SIZE + 1)),
+        ("verify", "qident", "--e", str(cli.MAX_QIDENT_SIZE + 1)),
+        ("verify", "qident", "--d", str(cli.MAX_QIDENT_DIM + 1)),
+        ("verify", "zidentity", "--d", str(cli.MAX_ZIDENTITY_DIM + 1)),
+    ])
+    def test_size_cap_exits_2_within_a_second(self, args):
+        start = time.perf_counter()
+        proc = run_cli(*args, timeout=20)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2, proc.stderr
+        assert "resource limit" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "61"),
+        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "3"),
+        ("density", "-d", str(MAX_CORANK_DIM), "-m", "1"),
+        ("density", "-d", "8", "-m", "4", "--cutoff", str(MAX_PRIME_CUTOFF)),
+        ("verify", "qident", "--n", str(cli.MAX_QIDENT_SIZE), "--e", str(cli.MAX_QIDENT_SIZE),
+         "--d", str(cli.MAX_QIDENT_DIM)),
+        ("verify", "zidentity", "--d", str(cli.MAX_ZIDENTITY_DIM)),
+    ])
+    def test_largest_input_under_a_size_cap_exits_0(self, args):
+        proc = run_cli(*args, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("d, nu", [(3, (MAX_COEFFICIENT_BITS // 2 - 2, 0, 0)),
+                                       (1, (MAX_COEFFICIENT_BITS,))])
+    def test_largest_coefficient_under_its_cap_is_printed(self, d, nu):
+        proc = run_cli("zeta", "-d", str(d), "coeff", "-p", "2",
+                       "--nu", ",".join(map(str, nu)), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        e = nu[0]
+        # one index-2^e subgroup of Z/2^e when d = 1; 2^(2(e-1)) (4 + 2 + 1) cyclic
+        # subgroups of order 2^e in (Z/2^e)^3
+        want = 1 if d == 1 else 2 ** (2 * (e - 1)) * 7
+        assert json.loads(proc.stdout)["coefficient"] == want
 
     @pytest.mark.parametrize("args", [
         ("verify", "descent", "--d", "0"),

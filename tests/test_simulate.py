@@ -350,20 +350,6 @@ class TestUniformSublattices:
         i = bisect_right(offsets, off) - 1
         assert sampler.rows_at(code) == hermite_matrix(diags[i], off - offsets[i])
 
-    def test_block_memo_is_bounded(self, monkeypatch):
-        # rows are the same whether the memo holds every table or is cleared
-        # every third one, in code order, then strided and reversed
-        full = sim.SublatticeSampler(4, 30)
-        codes = list(range(full.total))
-        want = [full.rows_at(c) for c in codes]
-        assert len(full._blocks) > 3
-        monkeypatch.setattr(sim, "MAX_BLOCK_TABLES", 3)
-        tiny = sim.SublatticeSampler(4, 30)
-        order = codes + codes[::7] + codes[::-3]
-        for c in order:
-            assert tiny.rows_at(c) == want[c]
-            assert len(tiny._blocks) <= 3
-
     def test_sampler_builds_no_diagonal_table(self):
         hermite_diagonals.cache_clear()
         sim.run_sublattice_model(
@@ -429,6 +415,19 @@ class TestContainment:
             sim.containment_probability_exact(d, HermiteBasis([[int(i == j) for j in range(d)]
                                                                for i in range(d)]), 100)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("X", [2, 3, 12, 97, 400])
+    def test_matches_the_convolution_oracle(self, d, X):
+        # the count below X/D over the count below X, from the Dirichlet
+        # coefficients; D runs past X, where the probability is exactly 0
+        c = zt.dirichlet_coefficients_upto(d, X)
+        for D in (1, 2, 3, 4, 12, 97, 400, 1000):
+            L = HermiteBasis([[D if i == j == 0 else int(i == j) for j in range(d)]
+                              for i in range(d)])
+            K = (X - 1) // D
+            assert sim.containment_probability_exact(d, L, X) == Fraction(
+                sum(c[1 : K + 1]), sum(c[1:X])), D
 
     def test_exact_one_half(self):
         L = HermiteBasis(((2,),))

@@ -9,7 +9,7 @@ from mpmath import mp, mpf, zeta as mp_zeta
 
 from cotype import lattices as lat
 from cotype import zeta as zt
-from cotype.errors import CapExceededError, DomainError, NotWeaklyDecreasingError
+from cotype.errors import DomainError, NotWeaklyDecreasingError, ResourceLimitError
 from cotype.primes import primes_upto
 from cotype.qcomb import ONE, Q, q_binomial, value_at_inverse
 from helpers import euler_product_oracle, series_coefficient
@@ -35,7 +35,7 @@ class TestLocalFactor:
 
     def test_cap(self):
         for d in (zt.DEFAULT_LOCAL_FACTOR_CAP + 1, 20):
-            with pytest.raises(CapExceededError):
+            with pytest.raises(ResourceLimitError):
                 zt.local_factor(d)
 
     def test_denominator_and_pole_normalization(self):
@@ -80,6 +80,15 @@ class TestLocalCoefficient:
                         assert series_coefficient(d, p, nu) == zt.local_coefficient(
                             d, p, nu
                         ), (d, p, nu)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(d=st.integers(1, 6), p=st.sampled_from([2, 3, 5, 101]),
+           parts=st.lists(st.integers(0, 8), min_size=6, max_size=6))
+    def test_size_bound_behind_the_cap(self, d, p, parts):
+        # the cap's bound: the value is below 2^d p^E, E = sum_j (d - 2j + 1) nu_j
+        nu = sorted(parts[:d], reverse=True)
+        E = sum((d - 2 * j + 1) * v for j, v in enumerate(nu, 1))
+        assert zt.local_coefficient(d, p, nu) <= 2**d * p**E
 
     def test_validation(self):
         with pytest.raises(NotWeaklyDecreasingError):
