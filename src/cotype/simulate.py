@@ -15,6 +15,12 @@ read as a big-endian integer. The matrix model then draws its d^2 entries row
 by row with randrange(-k, k+1) semantics; the sublattice model draws its code
 with randrange(N_d(X)) semantics, N_d(X) the number of sublattices of index
 < X. So a run is a pure function of its configuration.
+
+Parallel trials: since each trial is a pure function of (seed, t), a sampled
+run of enough work splits its trials into contiguous ranges, one per available
+core (`os.sched_getaffinity`), with the tables of one serial pass. The parent
+checks every cap and builds the sublattice sampler before it forks the workers
+of `cotype.workers`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import csv
 import hashlib
 import itertools
 import math
+import os
 import random
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -41,6 +49,7 @@ from .lattices import (
     tally_cotypes,
 )
 from .primes import require_prime
+from .workers import count_in_ranges
 from .zeta import _dirichlet_levels
 
 FREE_LABEL = "free part"
@@ -56,15 +65,24 @@ MAX_MATRIX_DIM = 20
 # Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
 # form costs about 0.2 us * d^3 at k = 10^4, and below d = 3 the fixed cost of
 # a trial takes over, 14-23 us, of which the sha256 and the MT19937 seed are
-# about 7.5 us. Runs at the cap took 2-3.5 s at d = 20 and at d = 12, and
-# 11-14 s at d <= 3 (same machine).
+# about 7.5 us. Split over both cores of the same machine, runs at the cap took
+# 2.0 s at d = 20, 1.9 s at d = 12 and 4.2-4.5 s at d = 2 and 3, against 3.7,
+# 4.0 and 7.1-8.5 s on one core (one run each).
 MAX_TRIAL_WORK = 15 * 10**6
 # Uniform-sublattice sampling holds the rows N_1..N_d of sublattice counts
 # below X, built in 0.85 s at d = 20, X = 10^4 (a 32 MB process); X is held
 # at 10^4 by that d X log X sieve. Under MAX_TRIAL_WORK, runs at X = 10^4 took
-# 1.8 s at d = 20, 2.0 s at d = 10 and 5.2 s at d = 6, under 35 MB (same machine).
+# 1.1 s at d = 20, 1.6 s at d = 10 and 2.8 s at d = 6 on two cores (1.4, 2.3
+# and 5.0 s on one), under 35 MB per process (same machine).
 DEFAULT_SUBLATTICE_DIM_CAP = MAX_MATRIX_DIM
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
+# A sampled run takes one process per available core, but at most one per this
+# many units of the work capped by MAX_TRIAL_WORK, so that a worker's share
+# outweighs its start. A bare fork, pipe and wait costs 2-5 ms, but on a shared
+# 2-vCPU Xeon the second vCPU often ran the first few hundred ms at half speed:
+# split in two, `simulate matrix` lost about 10 ms at 4 * 10^5 units (d = 2 and
+# d = 8), broke even at 6 * 10^5 and gained 0.16 s at 8.1 * 10^5 (d = 2).
+FORK_WORK_PER_PROCESS = 3 * 10**5
 
 
 def type_label(parts: Iterable[int]) -> str:
@@ -118,6 +136,27 @@ class SampleConfig:
             return (2 * self.entry_bound + 1) ** (self.d * self.d)
         return self.trials
 
+    @property
+    def work(self) -> int:
+        """Work units of a sampled run, trials * max(d, 3)^3: about the cost of
+        its Smith forms, or at d < 3 that of its seeded draws."""
+        return self.trials * max(self.d, 3) ** 3
+
+    def check_caps(self) -> None:
+        """Refuse (ResourceLimitError) a run past any cap, before any work: the
+        work cap of a sampled run, then the model's caps on d, X and the
+        matrices of an exhaustive run."""
+        if not self.exhaustive and self.work > MAX_TRIAL_WORK:
+            raise ResourceLimitError(
+                f"trials * max(d, 3)^3 exceeds the work cap {MAX_TRIAL_WORK}")
+        if self.index_bound is not None:
+            _check_sampler_caps(self.d, self.index_bound)
+        elif self.d > MAX_MATRIX_DIM:
+            raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
+        elif self.exhaustive and self.matrices > DEFAULT_EXHAUSTIVE_CAP:
+            raise ResourceLimitError(
+                f"exhaustive mode needs {self.matrices} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
+
     def to_json_dict(self) -> dict:
         """The fields, except that an exhaustive run records the matrices it
         visits as its trials and no seed, which it never uses."""
@@ -162,6 +201,14 @@ class EmpiricalTable:
 # ---------------------------------------------------------------------------
 
 
+def _check_sampler_caps(d: int, X: int) -> None:
+    if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
+        raise ResourceLimitError(
+            f"uniform sublattice sampling capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
+            f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
+        )
+
+
 class SublatticeSampler:
     """Exactly uniform draws over sublattices of Z^d of index < X.
 
@@ -180,11 +227,7 @@ class SublatticeSampler:
     def __init__(self, d: int, X: int):
         if d < 1 or X < 2:
             raise DomainError("need d >= 1 and X >= 2")
-        if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
-            raise ResourceLimitError(
-                f"uniform sublattice sampling capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
-                f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
-            )
+        _check_sampler_caps(d, X)
         self.d, self.X = d, X
         # _levels[k - 1][n] = N_k(n); cumulative counts: _cum[n] = N_d(1) + ... + N_d(n)
         self._levels = _dirichlet_levels(d, X)
@@ -228,43 +271,52 @@ class SublatticeSampler:
         return HermiteBasis(self.rows_at(code))
 
 
-def _matrices(cfg: SampleConfig) -> Iterator[list[list[int]]]:
+def _prepare(cfg: SampleConfig) -> SublatticeSampler | None:
+    """Check every cap of a run, then build the sublattice model's sampler
+    (None for the matrix model)."""
+    cfg.check_caps()
+    return None if cfg.index_bound is None else SublatticeSampler(cfg.d, cfg.index_bound)
+
+
+def _matrices(cfg: SampleConfig, trials: range | None = None,
+              sampler: SublatticeSampler | None = None) -> Iterator[list[list[int]]]:
     """One integer matrix per trial: the Hermite basis of a uniform sublattice
     of index < X, or entries uniform in [-k, k], or in exhaustive mode every
-    matrix with entries in [-k, k]. Caps are checked before the first draw.
+    matrix with entries in [-k, k], in order.
+
+    `trials` picks a contiguous range of the trials (in exhaustive mode, of the
+    matrices' positions); by default every one is drawn. Caps are checked
+    before the first draw, unless the caller passes the sampler of
+    `_prepare(cfg)`, which checked them.
 
     The draws are those of the module docstring's contract from one generator:
     each trial reseeds it through the C seed under `random.Random.seed` (which
     for an int adds only type checks), and each draw below w inlines
     `Random._randbelow`: getrandbits(w.bit_length()) until the result is < w.
     """
+    if sampler is None:
+        sampler = _prepare(cfg)
+    if trials is None:
+        trials = range(cfg.matrices)
     d, k = cfg.d, cfg.entry_bound
-    sublattice = cfg.index_bound is not None
-    if not cfg.exhaustive and cfg.trials * max(d, 3) ** 3 > MAX_TRIAL_WORK:
-        raise ResourceLimitError(f"trials * max(d, 3)^3 exceeds the work cap {MAX_TRIAL_WORK}")
-    if sublattice:
-        sampler = SublatticeSampler(d, cfg.index_bound)
-        rows_at, w = sampler.rows_at, sampler.total
-    elif d > MAX_MATRIX_DIM:
-        raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
-    elif cfg.exhaustive:
-        if cfg.matrices > DEFAULT_EXHAUSTIVE_CAP:
-            raise ResourceLimitError(
-                f"exhaustive mode needs {cfg.matrices} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
-        for flat in itertools.product(range(-k, k + 1), repeat=d * d):
+    if cfg.exhaustive:
+        matrices = itertools.product(range(-k, k + 1), repeat=d * d)
+        for flat in itertools.islice(matrices, trials.start, trials.stop):
             yield [list(flat[i * d : (i + 1) * d]) for i in range(d)]
         return
+    if sampler is not None:
+        rows_at, w = sampler.rows_at, sampler.total
     else:
         w = 2 * k + 1
     rng = random.Random()
     reseed, bits, b = super(random.Random, rng).seed, rng.getrandbits, w.bit_length()
     prefix = hashlib.sha256(f"{cfg.master_seed}:".encode())
     rows = range(d)
-    for t in range(cfg.trials):
+    for t in trials:
         h = prefix.copy()
         h.update(b"%d" % t)
         reseed(int.from_bytes(h.digest()[:16], "big"))
-        if sublattice:
+        if sampler is not None:
             r = bits(b)
             while r >= w:
                 r = bits(b)
@@ -282,14 +334,17 @@ def _matrices(cfg: SampleConfig) -> Iterator[list[list[int]]]:
         yield m
 
 
-def sample_cokernel_type(cfg: SampleConfig) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
-    """Stream (SmithForm, p-Sylow type) per trial of either model.
+def sample_cokernel_type(
+    cfg: SampleConfig, trials: range | None = None, sampler: SublatticeSampler | None = None
+) -> Iterator[tuple[SmithForm, tuple[int, ...]]]:
+    """Stream (SmithForm, p-Sylow type) per trial of either model, over every
+    trial or over a range of them as in `_matrices`.
 
     Singular draws are not an error: they carry free_rank > 0 and their p-Sylow
     type refers to the torsion part only.
     """
     p = cfg.p
-    for m in _matrices(cfg):
+    for m in _matrices(cfg, trials, sampler):
         sf = smith_normal_form(m)
         yield sf, p_part(sf.diag[::-1], p)
 
@@ -309,15 +364,34 @@ class ModelResult:
         return Fraction(c, self.rank_table.trials)
 
 
-def _tally(cfg: SampleConfig) -> ModelResult:
-    """Tally the cokernels of every trial, labelled once at the end. The p-rank
-    is d minus the rank over F_p: the free rank plus the number of invariant
-    factors divisible by p. A singular draw's type is its free part."""
+def _processes(cfg: SampleConfig) -> int:
+    """How many processes share a run's trials: one per available core, capped
+    by FORK_WORK_PER_PROCESS. One for an exhaustive run, or where the platform
+    has no `os.sched_getaffinity` or other threads are running, since a forked
+    child holds only the forking thread and any lock another one held."""
+    if cfg.exhaustive or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cfg.work // FORK_WORK_PER_PROCESS))
+
+
+def _count(cfg: SampleConfig, trials: range, sampler) -> tuple[Counter, Counter]:
+    """p-ranks and p-Sylow types (None for a singular draw) over a range of
+    trials. The p-rank is d minus the rank over F_p: the free rank plus the
+    number of invariant factors divisible by p."""
     ranks: Counter = Counter()
     types: Counter = Counter()
-    for sf, parts in sample_cokernel_type(cfg):
+    for sf, parts in sample_cokernel_type(cfg, trials, sampler):
         ranks[sf.free_rank + len(parts)] += 1
         types[None if sf.free_rank else parts] += 1
+    return ranks, types
+
+
+def _tally(cfg: SampleConfig) -> ModelResult:
+    """Tally the cokernels of every trial, labelled once at the end. A singular
+    draw's type is its free part."""
+    sampler = _prepare(cfg)
+    ranks, types = count_in_ranges(
+        lambda trials: _count(cfg, trials, sampler), cfg.matrices, _processes(cfg))
     n = sum(ranks.values())
     type_counts = {FREE_LABEL if t is None else type_label(t): c for t, c in types.items()}
     rank_counts = {rank_label(r): ranks[r] for r in range(cfg.d + 1)}

@@ -45,6 +45,7 @@ DEFAULT_LOCAL_FACTOR_CAP = 12
 # (the product of q-binomials [n, k]_p < 2^k p^(k(n-k))), and it multiplies nu_1
 # factors. Capping both at this many keeps the value under Python's 4,300-digit
 # int-to-str limit; at the cap (d = 3, p = 2, nu = (6998, 0, 0)) it takes 0.1 s.
+# `simulate` holds the denominators of its exact theories to the same bits.
 MAX_COEFFICIENT_BITS = 14_000
 # Corank densities and residues: `density -d 40 -m 20` takes 1.1 s and
 # `-d 48 -m 24` 2.0 s, growing with d and with m near d/2, and `-d 150 -m 1`

@@ -5,12 +5,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotype import cli
-from cotype.simulate import MAX_MATRIX_DIM
+from cotype.simulate import MAX_MATRIX_DIM, MAX_TRIAL_WORK
 from cotype.zeta import (
     MAX_COEFFICIENT_BITS, MAX_CORANK_DIM, MAX_PRIME_CUTOFF, dirichlet_coefficients_upto)
 
@@ -221,6 +222,13 @@ class TestInputContracts:
         ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "4"),
         ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
          "--type-cap", "100000"),
+        # refused before the first of the trials the work cap allows (about 11 s)
+        ("simulate", "matrix", "-d", "2", "-k", "10000", "-p", "2",
+         "-n", str(MAX_TRIAL_WORK // 27), "--type-cap", "62"),
+        # the theories' denominators p^(c d^2 + d(d+1)/2) and p^(d^2) pass 14,000 bits
+        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2305843009213693951", "-n", "5"),
+        ("simulate", "matrix", "-d", "16", "-k", "5", "-p", "2305843009213693951",
+         "-n", str(MAX_TRIAL_WORK // 16**3), "--type-cap", "0"),
         ("density", "-d", str(MAX_CORANK_DIM + 1), "-m", "1"),
         ("density", "-d", "400", "-m", "1"),
         ("density", "-d", "2", "-m", "1", "--cutoff", str(MAX_PRIME_CUTOFF + 1)),
@@ -252,6 +260,18 @@ class TestInputContracts:
     def test_largest_input_under_a_size_cap_exits_0(self, args):
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("d, p, type_cap", [(4, 1000003, 2), (8, 1000003, 2),
+                                                (15, 2**61 - 1, 0)])
+    def test_theories_at_a_large_prime_are_printed(self, d, p, type_cap):
+        # d = 15 at p = 2^61 - 1: the rank theory's denominators p^225 have
+        # 13,725 bits, just under the cap
+        proc = run_cli("simulate", "matrix", "-d", str(d), "-k", "5", "-p", str(p), "-n", "5",
+                       "--type-cap", str(type_cap), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        theory = json.loads(proc.stdout)["theory"]
+        assert Fraction(theory["rank"][f"rank {d}"]) == Fraction(1, p ** (d * d))
+        assert sum(map(Fraction, theory["type"].values())) == 1
 
     @pytest.mark.parametrize("d, nu", [(3, (MAX_COEFFICIENT_BITS // 2 - 2, 0, 0)),
                                        (1, (MAX_COEFFICIENT_BITS,))])

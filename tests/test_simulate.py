@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import runpy
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cotype import cli
 from cotype import simulate as sim
 from cotype import zeta as zt
 from cotype.errors import DomainError, LabelMismatchError, ResourceLimitError
@@ -248,6 +250,91 @@ class TestFastDrawMatchesReference:
         expected = [sampler.rows_at(trial_rng(seed, t).randrange(sampler.total))
                     for t in range(trials)]
         assert list(sim._matrices(cfg)) == expected
+
+
+# At d = 6, with work enough for three processes: small entries give singular
+# draws (the free part) and many types, and X = 300 many indices.
+SPLIT_TRIALS = 3 * sim.FORK_WORK_PER_PROCESS // 6**3 + 1
+SPLIT_RUNS = {
+    "matrix": ("-k", 2, dict(entry_bound=2)),
+    "sublattice": ("-X", 300, dict(index_bound=300)),
+}
+
+
+class TestParallelTrials:
+    """A run split over 1, 2 or 3 processes gives the tables of one pass."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the affinity the split sees; return the list of forked pids."""
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            forked.clear()
+            return forked
+
+        return use
+
+    @pytest.mark.parametrize("model", sorted(SPLIT_RUNS))
+    def test_tables_and_stdout_do_not_depend_on_the_cpu_count(self, model, cpus, capsys):
+        flag, bound, kw = SPLIT_RUNS[model]
+        cfg = sim.SampleConfig(d=6, trials=SPLIT_TRIALS, master_seed=3, p=2, **kw)
+        argv = ["simulate", model, "-d", "6", flag, str(bound), "-p", "2",
+                "-n", str(SPLIT_TRIALS), "--seed", "3"]
+        run = sim.run_matrix_model if model == "matrix" else sim.run_sublattice_model
+        tables, digests = set(), set()
+        for n in (1, 2, 3):
+            forked = cpus(n)
+            res = run(cfg)
+            assert len(forked) == n - 1
+            tables.add(repr((res.type_table.to_json_dict(), res.rank_table.to_json_dict())))
+            assert cli.main(argv) == 0
+            assert len(forked) == 2 * (n - 1)
+            digests.add(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert len(tables) == len(digests) == 1
+        assert res.type_table.counts.get(sim.FREE_LABEL, 0) > 0 or model == "sublattice"
+
+    def test_small_runs_stay_serial(self, cpus):
+        forked = cpus(2)
+        sim.run_matrix_model(matrix_cfg(d=6, trials=2 * sim.FORK_WORK_PER_PROCESS // 216 - 1))
+        assert forked == []
+
+    @pytest.mark.parametrize("failing", ["worker", "parent"])
+    def test_a_failure_raises_and_reaps_every_worker(self, failing, cpus, monkeypatch):
+        count = sim._count
+
+        def failing_count(cfg, trials, sampler):
+            if (trials.start > 0) == (failing == "worker"):
+                raise ValueError("injected")
+            return count(cfg, trials, sampler)
+
+        monkeypatch.setattr(sim, "_count", failing_count)
+        forked = cpus(3)
+        with pytest.raises(RuntimeError if failing == "worker" else ValueError):
+            sim.run_matrix_model(matrix_cfg(d=6, trials=SPLIT_TRIALS))
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_ranges_concatenate_to_the_whole_run(self):
+        for cfg in (matrix_cfg(trials=30),
+                    sim.SampleConfig(d=3, trials=30, master_seed=1, p=2, index_bound=40),
+                    matrix_cfg(d=1, entry_bound=3, trials=0, exhaustive=True)):
+            sampler = sim._prepare(cfg)
+            cuts = [0, 4, 4, 17, cfg.matrices]
+            parts = [m for a, b in zip(cuts, cuts[1:])
+                     for m in sim._matrices(cfg, range(a, b), sampler)]
+            assert parts == list(sim._matrices(cfg))
 
 
 class TestTvTrendInEntryBound:
