@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import sys
@@ -44,6 +43,15 @@ from .qcomb import (
     descent_poly_permutations,
     qbinom_subset_identity_holds,
     qbinom_telescope_holds,
+)
+from .simulate import (
+    OTHER_LABEL,
+    SampleConfig,
+    compare_to_theory,
+    rank_label,
+    run_matrix_model,
+    run_sublattice_model,
+    type_label,
 )
 from .zeta import (
     MAX_COEFFICIENT_BITS,
@@ -98,13 +106,7 @@ _PRIME = _checked(int, is_prime, "prime")
 
 
 def _dump(obj) -> str:
-    # Streamed into one buffer: json.dumps with an indent joins a list of every
-    # chunk, 17 MB at its peak for the 2 MB of `tally -d 2 -X 10000`, against
-    # 5.6 MB this way (tracemalloc).
-    out = io.StringIO()
-    json.dump(obj, out, sort_keys=True, indent=2)
-    out.write("\n")
-    return out.getvalue()
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +307,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-# The simulate handler and its helpers import `cotype.simulate` themselves, as no
-# other subcommand needs it: where bytecode is not cached, compiling it at start
-# raised the peak RSS of `density -d 30 -m 1` by 0.8-1.1 MB (2-vCPU Xeon,
-# Python 3.11).
-
-
 def _rank_theory(d: int, p: int) -> dict[str, Fraction]:
-    from .simulate import rank_label
-
     theory = {}
     prev = Fraction(0)
     for r in range(d + 1):
@@ -324,8 +318,6 @@ def _rank_theory(d: int, p: int) -> dict[str, Fraction]:
 
 
 def _type_theory(d: int, p: int, exponent_cap: int) -> dict[str, Fraction]:
-    from .simulate import OTHER_LABEL, type_label
-
     masses = rank_d_masses(p, d, exponent_cap)
     theory = {type_label(parts): mass for parts, mass in masses.items()}
     theory[OTHER_LABEL] = 1 - sum(masses.values())
@@ -341,9 +333,6 @@ def _theory_bits(d: int, p: int, exponent_cap: int) -> float:
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
-    from .simulate import (
-        OTHER_LABEL, SampleConfig, compare_to_theory, run_matrix_model, run_sublattice_model)
-
     matrix = args.model == "matrix"
     if (args.k if matrix else args.X) is None:
         raise DomainError(f"the {args.model} model needs {'-k' if matrix else '-X'}")
@@ -351,9 +340,10 @@ def _cmd_simulate(args) -> tuple[int, str]:
                        entry_bound=args.k if matrix else None,
                        index_bound=None if matrix else args.X,
                        exhaustive=args.exhaustive)
-    # Every cap before the first trial: the model's (the cost of the theories
-    # grows with d), the printed theories' size, then (in rank_d_masses) the
-    # number of type labels.
+    # Every cap before the theories and the first trial: the model's (the cost
+    # of the theories grows with d; run_*_model checks them again for library
+    # callers), the printed theories' size, then (in rank_d_masses) the number
+    # of type labels.
     cfg.check_caps()
     bits = _theory_bits(args.d, args.p, args.type_cap)
     if bits > MAX_COEFFICIENT_BITS:
@@ -506,7 +496,9 @@ def main(argv=None) -> int:
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
-        # KB on Linux; the children are the trial workers of `simulate`
+        # KB on Linux. The children are those this process has reaped: in a
+        # CLI run, the trial workers of `simulate`. Inside a longer-lived host
+        # both figures cover the host's whole life.
         "peak_rss_kb": max(resource.getrusage(who).ru_maxrss
                            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)),
     }

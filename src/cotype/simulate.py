@@ -29,9 +29,7 @@ import csv
 import hashlib
 import itertools
 import math
-import os
 import random
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -49,7 +47,6 @@ from .lattices import (
     tally_cotypes,
 )
 from .primes import require_prime
-from .workers import count_in_ranges
 from .zeta import _dirichlet_levels
 
 FREE_LABEL = "free part"
@@ -76,13 +73,6 @@ MAX_TRIAL_WORK = 15 * 10**6
 # and 5.0 s on one), under 35 MB per process (same machine).
 DEFAULT_SUBLATTICE_DIM_CAP = MAX_MATRIX_DIM
 DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
-# A sampled run takes one process per available core, but at most one per this
-# many units of the work capped by MAX_TRIAL_WORK, so that a worker's share
-# outweighs its start. A bare fork, pipe and wait costs 2-5 ms, but on a shared
-# 2-vCPU Xeon the second vCPU often ran the first few hundred ms at half speed:
-# split in two, `simulate matrix` lost about 10 ms at 4 * 10^5 units (d = 2 and
-# d = 8), broke even at 6 * 10^5 and gained 0.16 s at 8.1 * 10^5 (d = 2).
-FORK_WORK_PER_PROCESS = 3 * 10**5
 
 
 def type_label(parts: Iterable[int]) -> str:
@@ -285,19 +275,17 @@ def _matrices(cfg: SampleConfig, trials: range | None = None,
     matrix with entries in [-k, k], in order.
 
     `trials` picks a contiguous range of the trials (in exhaustive mode, of the
-    matrices' positions); by default every one is drawn. Caps are checked
-    before the first draw, unless the caller passes the sampler of
-    `_prepare(cfg)`, which checked them.
+    matrices' positions), drawn with the `sampler` that the caller's
+    `_prepare(cfg)` returned. By default `_prepare(cfg)` runs here, before the
+    first draw, and every trial is drawn.
 
     The draws are those of the module docstring's contract from one generator:
     each trial reseeds it through the C seed under `random.Random.seed` (which
     for an int adds only type checks), and each draw below w inlines
     `Random._randbelow`: getrandbits(w.bit_length()) until the result is < w.
     """
-    if sampler is None:
-        sampler = _prepare(cfg)
     if trials is None:
-        trials = range(cfg.matrices)
+        sampler, trials = _prepare(cfg), range(cfg.matrices)
     d, k = cfg.d, cfg.entry_bound
     if cfg.exhaustive:
         matrices = itertools.product(range(-k, k + 1), repeat=d * d)
@@ -364,16 +352,6 @@ class ModelResult:
         return Fraction(c, self.rank_table.trials)
 
 
-def _processes(cfg: SampleConfig) -> int:
-    """How many processes share a run's trials: one per available core, capped
-    by FORK_WORK_PER_PROCESS. One for an exhaustive run, or where the platform
-    has no `os.sched_getaffinity` or other threads are running, since a forked
-    child holds only the forking thread and any lock another one held."""
-    if cfg.exhaustive or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), cfg.work // FORK_WORK_PER_PROCESS))
-
-
 def _count(cfg: SampleConfig, trials: range, sampler) -> tuple[Counter, Counter]:
     """p-ranks and p-Sylow types (None for a singular draw) over a range of
     trials. The p-rank is d minus the rank over F_p: the free rank plus the
@@ -387,11 +365,14 @@ def _count(cfg: SampleConfig, trials: range, sampler) -> tuple[Counter, Counter]
 
 
 def _tally(cfg: SampleConfig) -> ModelResult:
-    """Tally the cokernels of every trial, labelled once at the end. A singular
+    """Tally the cokernels of every trial, labelled once at the end, over the
+    processes of `workers.processes` (one for an exhaustive run). A singular
     draw's type is its free part."""
+    from .workers import count_in_ranges, processes  # here: --version never needs them
+
     sampler = _prepare(cfg)
-    ranks, types = count_in_ranges(
-        lambda trials: _count(cfg, trials, sampler), cfg.matrices, _processes(cfg))
+    ranks, types = count_in_ranges(lambda trials: _count(cfg, trials, sampler),
+                                   cfg.matrices, 1 if cfg.exhaustive else processes(cfg.work))
     n = sum(ranks.values())
     type_counts = {FREE_LABEL if t is None else type_label(t): c for t, c in types.items()}
     rank_counts = {rank_label(r): ranks[r] for r in range(cfg.d + 1)}

@@ -1,6 +1,7 @@
 """Counting over contiguous ranges in forked worker processes.
 
-`count_in_ranges(count, n, procs)` cuts range(n) into `procs` contiguous
+`processes(work)` says how many processes a run of that much work should take,
+and `count_in_ranges(count, n, procs)` cuts range(n) into `procs` contiguous
 ranges, forks a worker for each range but the first, runs `count` on the first
 range itself, and adds each worker's Counters, sent back through a pipe, in
 range order. So when `count` is a pure function of its range, the result is
@@ -14,8 +15,28 @@ from __future__ import annotations
 import marshal
 import os
 import sys
+import threading
 from collections import Counter
 from typing import Callable
+
+# A run takes one process per available core, but at most one per this many
+# units of work (`simulate`'s trials * max(d, 3)^3, which MAX_TRIAL_WORK caps),
+# so that a worker's share outweighs its start. A bare fork, pipe and wait costs
+# 2-5 ms, but on a shared 2-vCPU Xeon the second vCPU often ran the first few
+# hundred ms at half speed: split in two, `simulate matrix` lost about 10 ms at
+# 4 * 10^5 units (d = 2 and d = 8), broke even at 6 * 10^5 and gained 0.16 s at
+# 8.1 * 10^5 (d = 2).
+FORK_WORK_PER_PROCESS = 3 * 10**5
+
+
+def processes(work: int) -> int:
+    """One process per available core, at most one per FORK_WORK_PER_PROCESS
+    units of work. One where the platform has no `os.sched_getaffinity` or other
+    threads are running, since a forked child holds only the forking thread and
+    any lock another one held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), work // FORK_WORK_PER_PROCESS))
 
 
 def _fork(count: Callable[[range], tuple[Counter, ...]], trials: range):

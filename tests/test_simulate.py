@@ -24,6 +24,7 @@ from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
 from cotype.lattices import (
     HermiteBasis, cotype_of, enumerate_hnf, hermite_diagonals, hermite_matrix, p_part,
     tally_cotypes)
+from cotype.workers import FORK_WORK_PER_PROCESS
 
 from helpers import rank_mod_p, snf_oracle, trial_rng
 
@@ -254,7 +255,7 @@ class TestFastDrawMatchesReference:
 
 # At d = 6, with work enough for three processes: small entries give singular
 # draws (the free part) and many types, and X = 300 many indices.
-SPLIT_TRIALS = 3 * sim.FORK_WORK_PER_PROCESS // 6**3 + 1
+SPLIT_TRIALS = 3 * FORK_WORK_PER_PROCESS // 6**3 + 1
 SPLIT_RUNS = {
     "matrix": ("-k", 2, dict(entry_bound=2)),
     "sublattice": ("-X", 300, dict(index_bound=300)),
@@ -306,7 +307,7 @@ class TestParallelTrials:
 
     def test_small_runs_stay_serial(self, cpus):
         forked = cpus(2)
-        sim.run_matrix_model(matrix_cfg(d=6, trials=2 * sim.FORK_WORK_PER_PROCESS // 216 - 1))
+        sim.run_matrix_model(matrix_cfg(d=6, trials=2 * FORK_WORK_PER_PROCESS // 216 - 1))
         assert forked == []
 
     @pytest.mark.parametrize("failing", ["worker", "parent"])
