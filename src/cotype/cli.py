@@ -2,9 +2,10 @@
 
 Subcommands: tally, density, verify, simulate, zeta. Primary output is a single
 deterministic document on stdout (JSON with sorted keys, or CSV/plain text where
-noted); a run manifest (parameters, seed, caps, version, wall time, sha256 of the
-primary output, peak RSS) goes to stderr as one JSON line. Exit codes: 0
-success, 1 bad arguments or domain errors, 2 resource limit, 3 verification
+noted); a run manifest (parameters, seed, the caps the run checked with their
+costs and limits, version, wall time, sha256 of the primary output, peak RSS)
+goes to stderr as one JSON line. Exit codes: 0 success, 1 bad arguments or
+domain errors, 2 resource limit (a cap of `errors.CAPS`), 3 verification
 failure.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import CotypeError, DomainError, ResourceLimitError
+from .errors import CAPS, CHECKED, CotypeError, DomainError, ResourceLimitError, check_cap
 from .groups import (
     AbelianPGroupType,
     aut_order,
@@ -28,7 +29,6 @@ from .groups import (
     rank_d_masses,
 )
 from .lattices import (
-    DEFAULT_ENUM_CAP,
     TALLY_METHODS,
     enumeration_size,
     tally_cotypes,
@@ -36,7 +36,6 @@ from .lattices import (
 )
 from .primes import is_prime
 from .qcomb import (
-    DEFAULT_PERMUTATION_CAP,
     all_descent_sets,
     descent_poly_determinant,
     descent_poly_inclusion_exclusion,
@@ -54,7 +53,6 @@ from .simulate import (
     type_label,
 )
 from .zeta import (
-    MAX_COEFFICIENT_BITS,
     cocyclic_growth_constant,
     cokernel_rank_density_local,
     corank_density,
@@ -68,14 +66,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
-
-# Caps on the verify suites' size flags. qident's telescope checks grow with n
-# and e together, its subset identities with d: `--n 20 --e 20 --d 10` takes
-# 2.2-2.4 s, `--n 24 --e 24` 5.2 s and `--d 12` 4.0 s. `verify zidentity --d 20`
-# takes 0.9 s and `--d 24` 1.8 s (2-vCPU Xeon, Python 3.11).
-MAX_QIDENT_SIZE = 20  # --n and --e
-MAX_QIDENT_DIM = 10
-MAX_ZIDENTITY_DIM = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +90,8 @@ def _checked(convert, ok, need: str):
 
 _DIM = _checked(int, lambda v: v >= 1, ">= 1")
 _COUNT = _checked(int, lambda v: v >= 0, ">= 0")
-_MATRIX_CAP = _checked(int, lambda v: 0 <= v <= DEFAULT_ENUM_CAP, f"in [0, {DEFAULT_ENUM_CAP}]")
+_MATRIX_CAP = _checked(int, lambda v: 0 <= v <= CAPS["enum_matrices"],
+                       f"in [0, {CAPS['enum_matrices']}]")
 _Z_THRESHOLD = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _PRIME = _checked(int, is_prime, "prime")
 
@@ -131,6 +122,7 @@ def _cmd_tally(args) -> tuple[int, str]:
     }
     if not args.out and args.format == "json":
         summary["rows"] = tally.json_rows()
+    del tally  # free the counts before the rows are encoded, a large tally's peak
     return EXIT_OK, _dump(summary)
 
 
@@ -177,9 +169,8 @@ class CaseResult:
 
 
 def _suite_qident(args) -> list[CaseResult]:
-    if max(args.n, args.e) > MAX_QIDENT_SIZE or args.d > MAX_QIDENT_DIM:
-        raise ResourceLimitError(f"verify qident is capped at --n, --e <= {MAX_QIDENT_SIZE}"
-                                 f" and --d <= {MAX_QIDENT_DIM}")
+    check_cap("qident_size", max(args.n, args.e))
+    check_cap("qident_dim", args.d)
     out = []
     for n in range(args.n + 1):
         for e in range(args.e + 1):
@@ -195,16 +186,13 @@ def _suite_qident(args) -> list[CaseResult]:
 
 
 def _suite_descent(args) -> list[CaseResult]:
-    if args.d > DEFAULT_PERMUTATION_CAP:
-        # Refuse before the smaller d spend factorial time.
-        raise ResourceLimitError(f"verify descent enumerates d! permutations; "
-                                 f"cap is d <= {DEFAULT_PERMUTATION_CAP}")
+    check_cap("permutation_dim", args.d)  # before the smaller d spend factorial time
     out = []
     for d in range(1, args.d + 1):
         total_at_one = 0
         for lam in all_descent_sets(d):
             a = descent_poly_inclusion_exclusion(lam)
-            b = descent_poly_permutations(lam, cap=DEFAULT_PERMUTATION_CAP)
+            b = descent_poly_permutations(lam)
             c = descent_poly_determinant(lam)
             name = f"w(d={d}, lambda={set(lam.elements) or '{}'})"
             if not (a == b == c):
@@ -264,8 +252,7 @@ def _suite_autorder(args) -> list[CaseResult]:
 
 
 def _suite_zidentity(args) -> list[CaseResult]:
-    if args.d > MAX_ZIDENTITY_DIM:
-        raise ResourceLimitError(f"verify zidentity is capped at --d <= {MAX_ZIDENTITY_DIM}")
+    check_cap("zidentity_dim", args.d)
     out = []
     for d in range(1, args.d + 1):
         for m in range(1, d + 1):
@@ -328,28 +315,24 @@ def _theory_bits(d: int, p: int, exponent_cap: int) -> float:
     """log2 of the largest denominator among the exact theories, each a
     polynomial in 1/p with values in [0, 1]: p^(d^2) for the rank theory (the
     term of rank d), p^(c d^2 + d(d+1)/2) for the type theory at exponent cap c
-    (the type (p^c, ..., p^c), whose |Aut| has p-part p^(c d^2))."""
-    return max(d * d, exponent_cap * d * d + d * (d + 1) // 2) * math.log2(p)
+    (the type (p^c, ..., p^c), whose |Aut| has p-part p^(c d^2)). As log2 p >= 1, an
+    exponent too large for a float stands for its own bits: it is past any cap."""
+    e = max(d * d, exponent_cap * d * d + d * (d + 1) // 2)
+    return e * math.log2(p) if e < 2**64 else e
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
     matrix = args.model == "matrix"
     if (args.k if matrix else args.X) is None:
         raise DomainError(f"the {args.model} model needs {'-k' if matrix else '-X'}")
+    # Every cap before the theories and the first trial: the model's, checked
+    # as the config is built (the cost of the theories grows with d), the
+    # printed theories' size, then (in rank_d_masses) the number of type labels.
     cfg = SampleConfig(d=args.d, trials=args.n, master_seed=args.seed, p=args.p,
                        entry_bound=args.k if matrix else None,
                        index_bound=None if matrix else args.X,
                        exhaustive=args.exhaustive)
-    # Every cap before the theories and the first trial: the model's (the cost
-    # of the theories grows with d; run_*_model checks them again for library
-    # callers), the printed theories' size, then (in rank_d_masses) the number
-    # of type labels.
-    cfg.check_caps()
-    bits = _theory_bits(args.d, args.p, args.type_cap)
-    if bits > MAX_COEFFICIENT_BITS:
-        raise ResourceLimitError(
-            f"the exact theories' denominators ({bits:.0f} bits) are capped at"
-            f" {MAX_COEFFICIENT_BITS} bits")
+    check_cap("coefficient_bits", _theory_bits(args.d, args.p, args.type_cap))
     type_theory = _type_theory(args.d, args.p, args.type_cap)
     rank_theory = _rank_theory(args.d, args.p)
     result = (run_matrix_model if matrix else run_sublattice_model)(cfg)
@@ -422,7 +405,7 @@ def build_parser() -> _Parser:
     p_tally.add_argument("--format", choices=("json", "csv"), default="json")
     p_tally.add_argument("--out", default=None, help="write full rows to this path")
     p_tally.add_argument("--method", choices=TALLY_METHODS, default="auto")
-    p_tally.add_argument("--max-matrices", type=_MATRIX_CAP, default=DEFAULT_ENUM_CAP)
+    p_tally.add_argument("--max-matrices", type=_MATRIX_CAP, default=CAPS["enum_matrices"])
     p_tally.set_defaults(handler=_cmd_tally)
 
     p_density = sub.add_parser("density", help="corank densities and residues")
@@ -469,6 +452,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
+    CHECKED.clear()
     args = build_parser().parse_args(argv)
     seed = getattr(args, "seed", None)
     try:
@@ -489,10 +473,7 @@ def main(argv=None) -> int:
             if k not in ("handler", "command") and not callable(v)
         },
         "seed": seed,
-        "caps": {
-            "max_matrices": getattr(args, "max_matrices", None),
-            "permutation_cap": DEFAULT_PERMUTATION_CAP,
-        },
+        "caps": dict(sorted(CHECKED.items())),  # name -> [cost, limit]
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_sha256": hashlib.sha256(output.encode()).hexdigest(),

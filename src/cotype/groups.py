@@ -20,28 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import (
-    DomainError,
-    PrimeMismatchError,
-    RankExceedsDimensionError,
-    ResourceLimitError,
-)
+from .errors import DomainError, PrimeMismatchError, RankExceedsDimensionError, check_cap
 from .primes import require_prime, valuation
 from .qcomb import (_POCHHAMMER_DEPTH, _pochhammer_tail, q_binomial, q_pochhammer,
                     value_at_inverse)
-
-# Largest group order the brute-force searches will touch by default.
-DEFAULT_BRUTE_ORDER_CAP = 512
-# Cap on the (span, candidate) pairs of one brute-force step: F_2^6 needs
-# 87,885 (1,395 subspaces of dimension 3 x 63 vectors), F_2^7 338,709.
-MAX_BRUTE_JOINS = 2 * 10**5
-# Cap on the order^2 entries of the addition table of _SmallGroup: order 1024.
-MAX_BRUTE_TABLE = 2**20
-# Cap on the types rank_d_masses tabulates: `simulate` at d = 2 with a type cap
-# of 61 (1,953 types) took 0.8 s, at d = 20 with a cap of 3 (1,771) 0.6 s, and
-# at d = 20 with a cap of 4 (10,626) 2.7 s (2-vCPU Xeon, Python 3.11). The
-# default cap of 2 gives 231 types at d = 20.
-MAX_TYPE_LABELS = 2000
 
 
 @dataclass(frozen=True)
@@ -180,7 +162,7 @@ def count_generating_tuples(
     p: int,
     lam: Iterable[int],
     method: str = "closed",
-    max_order: int = DEFAULT_BRUTE_ORDER_CAP,
+    max_order: int = 512,
 ) -> int:
     """Number of r-tuples in (Z/p^(lam_1))^d generating a subgroup of type lam,
     with the i-th entry of additive order exactly p^(lam_i).
@@ -264,29 +246,19 @@ def _generating_tuples_brute(p: int, ambient: tuple[int, ...], lam: tuple[int, .
     lattice so repeated partial spans are counted once. A span is built only
     if its order, |sub| times the order of x modulo sub, can still end at
     p^|lam| with the remaining orders; the last step needs the count alone.
-    ResourceLimitError past max_order elements, past MAX_BRUTE_TABLE entries
-    of the addition table, or when one step would try more than
-    MAX_BRUTE_JOINS (span, candidate) pairs.
+    ResourceLimitError past the caps brute_order (or max_order elements) and
+    brute_joins (span, candidate) pairs in one step.
     """
     if max_order < 0:
         raise DomainError(f"the brute-force cap must be >= 0, got {max_order}")
-    order = p ** sum(ambient)
-    if order > max_order:
-        raise ResourceLimitError(f"group order {order} exceeds brute-force cap {max_order}")
-    if order * order > MAX_BRUTE_TABLE:
-        raise ResourceLimitError(
-            f"group order {order} needs an addition table of {order * order} entries,"
-            f" more than {MAX_BRUTE_TABLE}")
+    check_cap("brute_order", p ** sum(ambient), max_order)
     G = _SmallGroup(p, ambient)
     times_p = G.times_p
     target = p ** sum(lam)
     states: dict[frozenset, int] = {G.trivial_subgroup(): 1}
     for i, a in enumerate(lam):
         cand = [x for x in range(G.n) if G.order_exp[x] == a]
-        if len(states) * len(cand) > MAX_BRUTE_JOINS:
-            raise ResourceLimitError(
-                f"brute-force step {i + 1} of type {lam} in type {ambient} tries"
-                f" {len(states)} x {len(cand)} pairs, more than {MAX_BRUTE_JOINS}")
+        check_cap("brute_joins", len(states) * len(cand))
         rest = p ** sum(lam[i + 1:])
         new: dict[frozenset, int] = {}
         for sub, cnt in states.items():
@@ -304,7 +276,7 @@ def _generating_tuples_brute(p: int, ambient: tuple[int, ...], lam: tuple[int, .
 def aut_order(
     G: AbelianPGroupType,
     via: str = "closed_form",
-    max_order: int = DEFAULT_BRUTE_ORDER_CAP,
+    max_order: int = 512,
 ) -> int:
     """|Aut(G)| by 'closed_form', 'tuple_identity', or 'brute_force'."""
     parts = G.lam.parts
@@ -342,7 +314,7 @@ def embeds(H: AbelianPGroupType, G: AbelianPGroupType) -> bool:
 def embeds_brute_force(
     H: AbelianPGroupType,
     G: AbelianPGroupType,
-    max_order: int = DEFAULT_BRUTE_ORDER_CAP,
+    max_order: int = 512,
 ) -> bool:
     """Whether some tuple of G generates a copy of H, by the brute-force search."""
     if H.is_trivial:
@@ -384,12 +356,8 @@ def rank_d_mass(G: AbelianPGroupType, d: int) -> Fraction:
 def rank_d_masses(p: int, d: int, exponent_bound: int) -> dict[tuple[int, ...], Fraction]:
     """rank_d_mass of every type with lambda_1 <= exponent_bound and at most d
     parts, keyed by its parts, by size and then in partitions_of order. There
-    are C(d + exponent_bound, d) of them, capped at MAX_TYPE_LABELS."""
-    labels = math.comb(d + exponent_bound, d)
-    if labels > MAX_TYPE_LABELS:
-        raise ResourceLimitError(
-            f"{labels} types with at most {d} parts of at most {exponent_bound};"
-            f" cap {MAX_TYPE_LABELS}")
+    are C(d + exponent_bound, d) of them, within the type_labels cap."""
+    check_cap("type_labels", math.comb(d + exponent_bound, d))
     return {
         parts: rank_d_mass(AbelianPGroupType.of(p, parts), d)
         for size in range(exponent_bound * d + 1)

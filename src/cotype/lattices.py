@@ -41,18 +41,10 @@ from math import comb, gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import CAPS, DomainError, check_cap
 from .primes import factorize, smallest_prime_factors, valuation
 from .zeta import _local_cotype_table
 
-# Cap on how many matrices an enumeration call may visit.
-DEFAULT_ENUM_CAP = 10**8
-# Cap on one Hermite diagonal table, which takes about 30 bytes per entry.
-MAX_HERMITE_TABLE = 2 * 10**6  # on d * diagonals
-# Caps of the formula tally: its local tables build q-binomial rows of length
-# d, and it holds one to three cotypes of d entries per index below X.
-MAX_TALLY_RANK = 64
-MAX_TALLY_SIZE = 3 * 10**5  # on d * X
 # Tally methods: the formula, and the enumeration oracle.
 TALLY_METHODS = ("auto", "enumerate")
 
@@ -333,7 +325,7 @@ def _basis_count(diag: tuple[int, ...]) -> int:
     return out
 
 
-# An enumeration reads each index's table twice. Under DEFAULT_ENUM_CAP a tally
+# An enumeration reads each index's table twice. Under its matrix cap a tally
 # reaches at most 533 indices at d >= 3; at d = 2 (up to 11,026) the rebuilt
 # tables cost 0.28 s in all, against minutes of Smith forms.
 @lru_cache(maxsize=1 << 10)
@@ -342,11 +334,10 @@ def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tupl
     the canonical order of the enumeration and the sampler, and the prefix
     offsets (0, c_0, c_0 + c_1, ..., total) of their _basis_count c_i: the codes
     of diagonal i are [offsets[i], offsets[i + 1]). ResourceLimitError when
-    d * diagonals passes MAX_HERMITE_TABLE."""
+    d * diagonals passes the hermite_table cap."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
-    if d * _diagonal_count(d, n) > MAX_HERMITE_TABLE:
-        raise ResourceLimitError(f"Hermite table of Z^{d} at index {n} > {MAX_HERMITE_TABLE}")
+    check_cap("hermite_table", d * _diagonal_count(d, n))
     divs = _divisors(n)
     # The diagonals of the last k rows for every index m | n, k growing to d.
     tails = {m: [(m,)] for m in divs}
@@ -380,32 +371,28 @@ def hnf_count(d: int, n: int) -> int:
     return hermite_diagonals(d, n)[1][-1]
 
 
-def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = DEFAULT_ENUM_CAP,
+def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = CAPS["enum_matrices"],
                      contracted: bool = False) -> int:
     """Number of matrices an enumeration of Z^d at the given indices visits:
     every Hermite basis, or with contracted, the bases of each diagonal's core
     (_tally_index_enumerated); ResourceLimitError past max_matrices. Each index
     is first refused on its number of diagonals, each visited at least once, so
     that no large table is built."""
-    _check_cap(max_matrices)
+    _check_max_matrices(max_matrices)
     total = len(indices)
     for n in indices:
-        if total + _diagonal_count(d, n) - 1 > max_matrices:
+        total += _diagonal_count(d, n) - 1
+        if total > max_matrices:
             break
         diags, offsets = hermite_diagonals(d, n)
         total += (sum(_basis_count(tuple(a for a in g if a > 1)) for g in diags)
-                  if contracted else offsets[-1]) - 1
-    else:
-        if total <= max_matrices:
-            return total
-    raise ResourceLimitError(
-        f"enumerating Z^{d} at {len(indices)} indices up to {indices[-1]} visits"
-        f" more than {max_matrices} matrices"
-    )
+                  if contracted else offsets[-1]) - len(diags)
+    check_cap("enum_matrices", total, max_matrices)
+    return total
 
 
 def enumerate_hnf(
-    d: int, n: int, max_matrices: int = DEFAULT_ENUM_CAP
+    d: int, n: int, max_matrices: int = CAPS["enum_matrices"]
 ) -> Iterator[HermiteBasis]:
     """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis,
     in the order of hermite_diagonals and then of codes."""
@@ -506,7 +493,7 @@ class CotypeTally:
 
 def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
     """Exact map cotype-tuple -> count over sublattices of index exactly n, by
-    the contracted enumeration (at most DEFAULT_ENUM_CAP matrices)."""
+    the contracted enumeration (within the enum_matrices cap)."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
     enumeration_size(d, [n], contracted=True)
@@ -515,20 +502,17 @@ def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def _check_cap(max_matrices: int) -> None:
-    if not 0 <= max_matrices <= DEFAULT_ENUM_CAP:
+def _check_max_matrices(max_matrices: int) -> None:
+    if not 0 <= max_matrices <= CAPS["enum_matrices"]:
         raise DomainError(
-            f"the matrix cap must be in [0, {DEFAULT_ENUM_CAP}], got {max_matrices}")
+            f"the matrix cap must be in [0, {CAPS['enum_matrices']}], got {max_matrices}")
 
 
 def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:
     """Cotype counts of index < X as products of the local tables of the prime
     powers of each index, factored by one smallest-prime-factor sieve."""
-    if d > MAX_TALLY_RANK or d * X > MAX_TALLY_SIZE:
-        raise ResourceLimitError(
-            f"formula tally at d = {d}, X = {X} exceeds the caps d <= {MAX_TALLY_RANK}"
-            f" and d * X <= {MAX_TALLY_SIZE}"
-        )
+    check_cap("tally_rank", d)
+    check_cap("tally_size", d * X)
     spf = smallest_prime_factors(X - 1)
     counts: dict[tuple[int, ...], int] = {(1,) * d: 1} if X > 1 else {}
     for n in range(2, X):
@@ -551,12 +535,12 @@ def tally_cotypes(
     d: int,
     X: int,
     method: str = "auto",
-    max_matrices: int = DEFAULT_ENUM_CAP,
+    max_matrices: int = CAPS["enum_matrices"],
 ) -> CotypeTally:
     """Tally every sublattice of Z^d of index < X by cotype (exact).
 
     method 'auto' multiplies the local cotype tables of each index's prime
-    powers (d <= MAX_TALLY_RANK, d * X <= MAX_TALLY_SIZE). The oracle
+    powers (within the caps tally_rank on d and tally_size on d * X). The oracle
     'enumerate', independent of those formulas, contracts the Hermite rows with
     diagonal 1 away, Smith-reduces the rest and visits at most max_matrices
     matrices.
@@ -565,7 +549,7 @@ def tally_cotypes(
         raise DomainError("need d >= 1 and X >= 1")
     if method not in TALLY_METHODS:
         raise DomainError(f"unknown tally method {method!r}")
-    _check_cap(max_matrices)
+    _check_max_matrices(max_matrices)
 
     if method == "auto":
         counts = _tally_formula(d, X)

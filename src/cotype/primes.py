@@ -7,17 +7,13 @@ from itertools import compress, count
 from math import gcd, isqrt
 from typing import Iterator
 
-from .errors import DomainError, ResourceLimitError
+from .errors import CAPS, DomainError, check_cap
 
 # Miller-Rabin bases that decide primality exactly below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # factorize trial-divides up to this bound, so below its square (2^20) it
 # uses trial division alone; larger cofactors go to is_prime and Pollard rho.
 _TRIAL_BOUND = 1 << 10
-# The Pollard rho steps one factorize may take, about 1 s at 2 us a step. Rho
-# finds a prime factor p in about sqrt(p) steps, so every prime factor but the
-# largest must stay below about 2^36.
-_RHO_STEPS = 1 << 19
 
 
 @lru_cache(maxsize=8)
@@ -57,12 +53,12 @@ def valuation(n: int, p: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """The prime powers (p, e) exactly dividing n >= 1, p ascending: trial
     division up to the square root of the part not yet factored, or past
-    _TRIAL_BOUND, a split of that part into primes (_split_large) within
-    _RHO_STEPS steps of Pollard rho, or ResourceLimitError."""
+    _TRIAL_BOUND, a split of that part into primes (_split_large) within the
+    Pollard rho steps of CAPS["rho_steps"], or ResourceLimitError."""
     out, f = [], 2
     while f * f <= n:
         if f > _TRIAL_BOUND:
-            steps = iter(range(_RHO_STEPS))
+            steps = iter(range(CAPS["rho_steps"]))
             return out + sorted(Counter(_split_large(n, steps)).items())
         if n % f == 0:
             e = valuation(n, f)
@@ -103,9 +99,8 @@ def _pollard_brent(n: int, steps: Iterator[int]) -> int:
         while g == 1:
             x = y
             for _ in range(r):
-                if next(steps, None) is None:
-                    raise ResourceLimitError(
-                        f"factoring {n} needs more than {_RHO_STEPS} Pollard rho steps")
+                if next(steps, None) is None:  # the step past the cap
+                    check_cap("rho_steps", CAPS["rho_steps"] + 1)
                 y = (y * y + c) % n
                 if (g := gcd(x - y, n)) > 1:
                     break

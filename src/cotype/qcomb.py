@@ -14,12 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, check_cap
 
-# Factorial-time permutation enumeration is gated behind this cap.
-DEFAULT_PERMUTATION_CAP = 9
-# The inclusion-exclusion table holds 2^(d-1) polynomials of degree < d^2/2.
-MAX_DESCENT_TABLE_DIM = 14
 # Depth B at which every infinite product prod_j (1 - p^-j) is cut.
 _POCHHAMMER_DEPTH = 64
 
@@ -391,8 +387,7 @@ def inversions(pi: Permutation) -> int:
 def descent_poly_inclusion_exclusion(lam: DescentSet) -> IntPolynomial:
     """w(d, lambda) as the alternating sum over mu <= lambda of subset binomials,
     read from the table of every descent set of its d."""
-    if lam.d > MAX_DESCENT_TABLE_DIM:
-        raise ResourceLimitError(f"the descent table is capped at d <= {MAX_DESCENT_TABLE_DIM}")
+    check_cap("descent_table_dim", lam.d)
     return _descent_polys_from_subsets(lam.d)[frozenset(lam.elements)]
 
 
@@ -434,14 +429,9 @@ def _descent_polys_from_permutations(d: int) -> dict[frozenset, IntPolynomial]:
     return {desc: IntPolynomial(coeffs) for desc, coeffs in acc.items()}
 
 
-def descent_poly_permutations(
-    lam: DescentSet, cap: int = DEFAULT_PERMUTATION_CAP
-) -> IntPolynomial:
+def descent_poly_permutations(lam: DescentSet) -> IntPolynomial:
     """w(d, lambda) as sum of q^inv(pi) over permutations with descent set lambda."""
-    if lam.d > cap:
-        raise ResourceLimitError(
-            f"permutation enumeration needs {lam.d}! steps; cap is d <= {cap}"
-        )
+    check_cap("permutation_dim", lam.d)
     table = _descent_polys_from_permutations(lam.d)
     return table.get(frozenset(lam.elements), ZERO)
 

@@ -18,9 +18,9 @@ with randrange(N_d(X)) semantics, N_d(X) the number of sublattices of index
 
 Parallel trials: since each trial is a pure function of (seed, t), a sampled
 run of enough work splits its trials into contiguous ranges, one per available
-core (`os.sched_getaffinity`), with the tables of one serial pass. The parent
-checks every cap and builds the sublattice sampler before it forks the workers
-of `cotype.workers`.
+core (`os.sched_getaffinity`), with the tables of one serial pass. A
+`SampleConfig` checks every cap of its run when it is built, and the parent
+builds the sublattice sampler before it forks the workers of `cotype.workers`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import DomainError, LabelMismatchError, ResourceLimitError
+from .errors import DomainError, LabelMismatchError, check_cap
 from .groups import AbelianPGroupType, embeds
 from .lattices import (
     HermiteBasis,
@@ -52,28 +52,6 @@ from .zeta import _dirichlet_levels
 FREE_LABEL = "free part"
 OTHER_LABEL = "other"
 
-# Exhaustive mode must visit (2k+1)^(d^2) matrices; cap that.
-DEFAULT_EXHAUSTIVE_CAP = 10**6
-# A trial with k = 10^4 stays under about 2 ms up to this d: its Smith form,
-# a Bareiss elimination and at most a reduction modulo a multiple of D_(d-1),
-# takes about 0.1 ms per matrix at d = 8, 0.3 ms at d = 12 and 1.4 ms at
-# d = 20 (2-vCPU Xeon, Python 3.11).
-MAX_MATRIX_DIM = 20
-# Cap on trials * max(d, 3)^3 in a sampled run of either model: a trial's Smith
-# form costs about 0.2 us * d^3 at k = 10^4, and below d = 3 the fixed cost of
-# a trial takes over, 14-23 us, of which the sha256 and the MT19937 seed are
-# about 7.5 us. Split over both cores of the same machine, runs at the cap took
-# 2.0 s at d = 20, 1.9 s at d = 12 and 4.2-4.5 s at d = 2 and 3, against 3.7,
-# 4.0 and 7.1-8.5 s on one core (one run each).
-MAX_TRIAL_WORK = 15 * 10**6
-# Uniform-sublattice sampling holds the rows N_1..N_d of sublattice counts
-# below X, built in 0.85 s at d = 20, X = 10^4 (a 32 MB process); X is held
-# at 10^4 by that d X log X sieve. Under MAX_TRIAL_WORK, runs at X = 10^4 took
-# 1.1 s at d = 20, 1.6 s at d = 10 and 2.8 s at d = 6 on two cores (1.4, 2.3
-# and 5.0 s on one), under 35 MB per process (same machine).
-DEFAULT_SUBLATTICE_DIM_CAP = MAX_MATRIX_DIM
-DEFAULT_SUBLATTICE_INDEX_CAP = 10**4
-
 
 def type_label(parts: Iterable[int]) -> str:
     return f"type ({','.join(map(str, parts))})"
@@ -85,7 +63,8 @@ def rank_label(r: int) -> str:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Configuration of a sampling run; fixing it fixes every outcome."""
+    """Configuration of a sampling run; fixing it fixes every outcome. One past
+    a cap cannot be built (ResourceLimitError), so its run checks none again."""
 
     d: int
     trials: int
@@ -117,6 +96,17 @@ class SampleConfig:
             raise DomainError("entry bound k must be >= 1")
         if self.index_bound is not None and self.index_bound < 2:
             raise DomainError("index bound X must be >= 2")
+        # Every cap before any work: the work of a sampled run, then the model's
+        # caps on d, on X or k, and on the matrices of an exhaustive run.
+        if not self.exhaustive:
+            check_cap("trial_work", self.work)
+        check_cap("matrix_dim", self.d)
+        if self.index_bound is not None:
+            check_cap("sublattice_index", self.index_bound)
+        else:
+            check_cap("entry_bits", self.entry_bound.bit_length())
+            if self.exhaustive:
+                check_cap("exhaustive_matrices", self.matrices)
 
     @property
     def matrices(self) -> int:
@@ -131,21 +121,6 @@ class SampleConfig:
         """Work units of a sampled run, trials * max(d, 3)^3: about the cost of
         its Smith forms, or at d < 3 that of its seeded draws."""
         return self.trials * max(self.d, 3) ** 3
-
-    def check_caps(self) -> None:
-        """Refuse (ResourceLimitError) a run past any cap, before any work: the
-        work cap of a sampled run, then the model's caps on d, X and the
-        matrices of an exhaustive run."""
-        if not self.exhaustive and self.work > MAX_TRIAL_WORK:
-            raise ResourceLimitError(
-                f"trials * max(d, 3)^3 exceeds the work cap {MAX_TRIAL_WORK}")
-        if self.index_bound is not None:
-            _check_sampler_caps(self.d, self.index_bound)
-        elif self.d > MAX_MATRIX_DIM:
-            raise ResourceLimitError(f"the matrix model is capped at d <= {MAX_MATRIX_DIM}")
-        elif self.exhaustive and self.matrices > DEFAULT_EXHAUSTIVE_CAP:
-            raise ResourceLimitError(
-                f"exhaustive mode needs {self.matrices} matrices; cap {DEFAULT_EXHAUSTIVE_CAP}")
 
     def to_json_dict(self) -> dict:
         """The fields, except that an exhaustive run records the matrices it
@@ -191,14 +166,6 @@ class EmpiricalTable:
 # ---------------------------------------------------------------------------
 
 
-def _check_sampler_caps(d: int, X: int) -> None:
-    if d > DEFAULT_SUBLATTICE_DIM_CAP or X > DEFAULT_SUBLATTICE_INDEX_CAP:
-        raise ResourceLimitError(
-            f"uniform sublattice sampling capped at d <= {DEFAULT_SUBLATTICE_DIM_CAP},"
-            f" X <= {DEFAULT_SUBLATTICE_INDEX_CAP}"
-        )
-
-
 class SublatticeSampler:
     """Exactly uniform draws over sublattices of Z^d of index < X.
 
@@ -217,7 +184,11 @@ class SublatticeSampler:
     def __init__(self, d: int, X: int):
         if d < 1 or X < 2:
             raise DomainError("need d >= 1 and X >= 2")
-        _check_sampler_caps(d, X)
+        check_cap("matrix_dim", d)
+        check_cap("sublattice_index", X)
+        self._build(d, X)
+
+    def _build(self, d: int, X: int) -> None:
         self.d, self.X = d, X
         # _levels[k - 1][n] = N_k(n); cumulative counts: _cum[n] = N_d(1) + ... + N_d(n)
         self._levels = _dirichlet_levels(d, X)
@@ -262,10 +233,13 @@ class SublatticeSampler:
 
 
 def _prepare(cfg: SampleConfig) -> SublatticeSampler | None:
-    """Check every cap of a run, then build the sublattice model's sampler
-    (None for the matrix model)."""
-    cfg.check_caps()
-    return None if cfg.index_bound is None else SublatticeSampler(cfg.d, cfg.index_bound)
+    """The sublattice model's sampler (None for the matrix model), built
+    without a second check of the caps that the config checked."""
+    if cfg.index_bound is None:
+        return None
+    sampler = object.__new__(SublatticeSampler)
+    sampler._build(cfg.d, cfg.index_bound)
+    return sampler
 
 
 def _matrices(cfg: SampleConfig, trials: range | None = None,

@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Callable
 
 # A run takes one process per available core, but at most one per this many
-# units of work (`simulate`'s trials * max(d, 3)^3, which MAX_TRIAL_WORK caps),
+# units of work (`simulate`'s trials * max(d, 3)^3, the cost of its trial_work cap),
 # so that a worker's share outweighs its start. A bare fork, pipe and wait costs
 # 2-5 ms, but on a shared 2-vCPU Xeon the second vCPU often ran the first few
 # hundred ms at half speed: split in two, `simulate matrix` lost about 10 ms at

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotWeaklyDecreasingError, ResourceLimitError
+from .errors import DomainError, NotWeaklyDecreasingError, check_cap
 from .groups import Partition, ambient_subgroup_count, partitions_of
 from .primes import factorize, primes_upto, require_prime
 from .qcomb import (
@@ -39,21 +39,6 @@ from .qcomb import (
     value_at_inverse,
 )
 
-# The numerator of the local factor has 2^(d-1) terms.
-DEFAULT_LOCAL_FACTOR_CAP = 12
-# local_coefficient's value is below 2^(d + E log2 p), E = sum_j (d - 2j + 1) nu_j
-# (the product of q-binomials [n, k]_p < 2^k p^(k(n-k))), and it multiplies nu_1
-# factors. Capping both at this many keeps the value under Python's 4,300-digit
-# int-to-str limit; at the cap (d = 3, p = 2, nu = (6998, 0, 0)) it takes 0.1 s.
-# `simulate` holds the denominators of its exact theories to the same bits.
-MAX_COEFFICIENT_BITS = 14_000
-# Corank densities and residues: `density -d 40 -m 20` takes 1.1 s and
-# `-d 48 -m 24` 2.0 s, growing with d and with m near d/2, and `-d 150 -m 1`
-# outgrows the int-to-str limit. The primes up to the cutoff are held as a
-# list: a 10^7 cutoff takes 1.7 s and 128 MB, 3 * 10^7 takes 327 MB (2-vCPU
-# Xeon, Python 3.11).
-MAX_CORANK_DIM = 40
-MAX_PRIME_CUTOFF = 10**7
 # Euler products: the primes multiplied directly (up to a power of two, P0);
 # the fixed-point bits of every integer in the engine; the log-series order K,
 # past which p^-k < 2^-_FIXED_BITS for every p > P0, so that every fixed-point
@@ -107,9 +92,7 @@ def local_factor(d: int) -> LocalFactor:
     descent polynomials."""
     if d < 1:
         raise DomainError("d must be positive")
-    if d > DEFAULT_LOCAL_FACTOR_CAP:
-        raise ResourceLimitError(
-            f"local factor for d={d} has 2^{d-1} terms; cap is {DEFAULT_LOCAL_FACTOR_CAP}")
+    check_cap("local_factor_dim", d)
     numer = tuple(
         (tuple(sorted(lam.elements)), descent_poly_inclusion_exclusion(lam))
         for lam in all_descent_sets(d)
@@ -132,15 +115,17 @@ def local_coefficient(d: int, p: int, nu) -> int:
     """Number of sublattices of Z^d whose cotype at p is (p^nu_1,...,p^nu_d).
 
     Evaluated by the conjugate-exponent product formula (equivalently: the number
-    of subgroups of (Z/p^nu_1)^d isomorphic to the group of type nu).
+    of subgroups of (Z/p^nu_1)^d isomorphic to the group of type nu). The value
+    is below 2^(d + E log2 p), E = sum_j (d - 2j + 1) nu_j, as a product of
+    q-binomials [n, k]_p < 2^k p^(k(n-k)), and it multiplies nu_1 factors: the
+    coefficient_bits cap bounds both.
     """
     require_prime(p)
     nu = _validate_exponents(d, nu)
-    bits = d + sum((d - 2 * j + 1) * v for j, v in enumerate(nu, 1)) * math.log2(p)
-    if max(nu, default=0) > MAX_COEFFICIENT_BITS or bits > MAX_COEFFICIENT_BITS:
-        raise ResourceLimitError(
-            f"nu_1 and the coefficient's size ({bits:.0f} bits) are each capped at"
-            f" {MAX_COEFFICIENT_BITS}")
+    E = sum((d - 2 * j + 1) * v for j, v in enumerate(nu, 1))
+    # log2 p >= 1, so an E too large for a float is past the cap as it stands
+    check_cap("coefficient_bits", max(d + (E * math.log2(p) if E < 2**64 else E),
+                                      max(nu, default=0)))
     return ambient_subgroup_count(d, Partition.of(nu), p)
 
 
@@ -156,15 +141,16 @@ def _local_cotype_table(d: int, p: int, e: int) -> tuple[tuple[tuple[int, ...], 
     )
 
 
-def _prime_power_coefficient(d: int, p: int, e: int) -> int:
-    return sum(count for _, count in _local_cotype_table(d, p, e))
-
-
 def dirichlet_coefficient(d: int, n: int) -> int:
-    """Number of index-n sublattices of Z^d, multiplicatively over n's primes."""
+    """Number of index-n sublattices of Z^d: over the prime powers p^e || n,
+    the product of [e + d - 1 choose d - 1]_p = prod_{i<d} (p^(e+i) - 1) / (p^i - 1).
+    Each is below 2^(d-1) p^((d-1) e), which the coefficient_bits cap bounds."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
-    return math.prod(_prime_power_coefficient(d, p, e) for p, e in factorize(n))
+    powers = factorize(n)
+    check_cap("coefficient_bits", sum((d - 1) * (1 + e * math.log2(p)) for p, e in powers))
+    return math.prod(math.prod(p ** (e + i) - 1 for i in range(1, d))
+                     // math.prod(p**i - 1 for i in range(1, d)) for p, e in powers)
 
 
 def dirichlet_coefficients_upto(d: int, N: int) -> list[int]:
@@ -173,15 +159,17 @@ def dirichlet_coefficients_upto(d: int, N: int) -> list[int]:
 
     Returns a list a of length N with a[0] = 0; independent of both the
     enumeration and the q-binomial formulas, so it can referee between them.
+    Its d * N shares the row tally's tally_size cap.
     """
+    if d < 1 or N < 1:
+        raise DomainError("need d >= 1 and N >= 1")
+    check_cap("tally_size", d * N)
     return _dirichlet_levels(d, N)[-1]
 
 
 def _dirichlet_levels(d: int, N: int) -> list[list[int]]:
     """Every row of the sieve convolution: row k - 1 holds N_k(n) for n < N,
-    the coefficients of zeta(s) ... zeta(s-(k-1)), for k = 1, ..., d."""
-    if d < 1 or N < 1:
-        raise DomainError("need d >= 1 and N >= 1")
+    the coefficients of zeta(s) ... zeta(s-(k-1)), for k = 1, ..., d >= 1."""
     levels = [[0] + [1] * (N - 1)]
     for j in range(1, d):
         a, b = levels[-1], [0] * N
@@ -206,8 +194,7 @@ def _durfee_sum(d: int, m: int) -> IntPolynomial:
     """sum_{i=0}^{m} [d choose i]_q q^(i^2) prod_{j=i+1}^{m} (1-q^j), by Horner."""
     if not 1 <= m <= d:
         raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    if d > MAX_CORANK_DIM:
-        raise ResourceLimitError(f"corank densities are capped at d <= {MAX_CORANK_DIM}")
+    check_cap("corank_dim", d)
     acc = ZERO
     for i in range(m + 1):
         acc = acc * one_minus_q_pow(i) + q_binomial(d, i).shifted(i * i)
@@ -357,8 +344,7 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     and S_k = sum_p p^-k, times the exact value at each prime up to it."""
     if cutoff < 2:
         raise DomainError("prime cutoff must be at least 2")
-    if cutoff > MAX_PRIME_CUTOFF:
-        raise ResourceLimitError(f"the prime cutoff is capped at {MAX_PRIME_CUTOFF}")
+    check_cap("prime_cutoff", cutoff)
     num, den = factor
     primes = primes_upto(cutoff)
     n_series, sums = _power_sums(cutoff)

@@ -6,14 +6,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotype import cli
-from cotype.simulate import MAX_MATRIX_DIM, MAX_TRIAL_WORK
-from cotype.zeta import (
-    MAX_COEFFICIENT_BITS, MAX_CORANK_DIM, MAX_PRIME_CUTOFF, dirichlet_coefficients_upto)
+from cotype import cli, groups, lattices, primes, qcomb, simulate, zeta
+from cotype.errors import CAPS, ResourceLimitError, check_cap
+from cotype.zeta import dirichlet_coefficients_upto
 
 
 def run_cli(*args, timeout=None):
@@ -152,6 +152,144 @@ class TestVerify:
         assert doc["failures"][0]["case"] == "rigged-case q=1"
 
 
+# The caps case by case, keyed by the name in CAPS. OVER_CAP holds CLI inputs just
+# past a cap, refused before any trial or table; LIBRARY_OVER_CAP calls past the
+# caps that only the library reaches, or that are counted as they are spent,
+# with their time bound; AT_CAP the largest CLI inputs under a cap where that
+# run takes under 2 s. The first 16 and 6 cases keep their order, and so their
+# test ids.
+OVER_CAP = [
+    # C(2 + 62, 2) = 2016 and C(20 + 4, 20) = 10,626 types
+    ("type_labels",
+     ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "62")),
+    ("type_labels",
+     ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "4")),
+    ("coefficient_bits", ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
+                          "--type-cap", "100000")),
+    # refused before the first of the trials the work cap allows (about 11 s)
+    ("type_labels", ("simulate", "matrix", "-d", "2", "-k", "10000", "-p", "2",
+                     "-n", str(CAPS["trial_work"] // 27), "--type-cap", "62")),
+    # the theories' denominators p^(c d^2 + d(d+1)/2) and p^(d^2) pass 14,000 bits
+    ("coefficient_bits",
+     ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2305843009213693951", "-n", "5")),
+    ("coefficient_bits", ("simulate", "matrix", "-d", "16", "-k", "5",
+                          "-p", "2305843009213693951",
+                          "-n", str(CAPS["trial_work"] // 16**3), "--type-cap", "0")),
+    ("corank_dim", ("density", "-d", str(CAPS["corank_dim"] + 1), "-m", "1")),
+    ("corank_dim", ("density", "-d", "400", "-m", "1")),
+    ("prime_cutoff",
+     ("density", "-d", "2", "-m", "1", "--cutoff", str(CAPS["prime_cutoff"] + 1))),
+    # nu = (e, 0, 0) at p = 2 bounds the coefficient by 2^(3 + 2e)
+    ("coefficient_bits", ("zeta", "-d", "3", "coeff", "-p", "2",
+                          "--nu", f"{CAPS['coefficient_bits'] // 2 - 1},0,0")),
+    ("coefficient_bits", ("zeta", "-d", "3", "coeff", "-p", "2", "--nu", "1000000,0,0")),
+    ("coefficient_bits",
+     ("zeta", "-d", "1", "coeff", "-p", "2", "--nu", str(CAPS["coefficient_bits"] + 1))),
+    ("qident_size", ("verify", "qident", "--n", str(CAPS["qident_size"] + 1))),
+    ("qident_size", ("verify", "qident", "--e", str(CAPS["qident_size"] + 1))),
+    ("qident_dim", ("verify", "qident", "--d", str(CAPS["qident_dim"] + 1))),
+    ("zidentity_dim", ("verify", "zidentity", "--d", str(CAPS["zidentity_dim"] + 1))),
+    ("permutation_dim", ("verify", "descent", "--d", str(CAPS["permutation_dim"] + 1))),
+    ("local_factor_dim", ("zeta", "-d", str(CAPS["local_factor_dim"] + 1), "print-local")),
+    ("enum_matrices", ("tally", "-d", "1", "-X", str(CAPS["enum_matrices"] + 2),
+                       "--method", "enumerate")),
+    # --max-matrices lowers the cap: Z^3 has 1 + 7 sublattices of index below 3
+    ("enum_matrices", ("tally", "-d", "3", "-X", "3", "--method", "enumerate",
+                       "--max-matrices", "7")),
+    # index 8 of Z^60 has C(62, 3) = 37,820 Hermite diagonals
+    ("hermite_table", ("verify", "oracle", "--d", "60", "--p", "2", "--emax", "3")),
+    ("tally_rank", ("tally", "-d", str(CAPS["tally_rank"] + 1), "-X", "2")),
+    ("tally_size", ("tally", "-d", "3", "-X", str(CAPS["tally_size"] // 3 + 1))),
+    ("matrix_dim", ("simulate", "sublattice", "-d", str(CAPS["matrix_dim"] + 1), "-X", "100",
+                    "-p", "2", "-n", "1")),
+    ("trial_work", ("simulate", "matrix", "-d", "20", "-k", "10000", "-p", "2",
+                    "-n", str(CAPS["trial_work"] // 20**3 + 1))),
+    ("sublattice_index", ("simulate", "sublattice", "-d", "2", "-X",
+                          str(CAPS["sublattice_index"] + 1), "-p", "2", "-n", "10")),
+    ("entry_bits", ("simulate", "matrix", "-d", "20", "-k", str(2 ** CAPS["entry_bits"]),
+                    "-p", "2", "-n", "2")),
+    ("entry_bits",
+     ("simulate", "matrix", "-d", "20", "-k", str(10**3000), "-p", "2", "-n", "2")),
+    # (2 * 16 + 1)^4 = 1,185,921 matrices
+    ("exhaustive_matrices", ("simulate", "matrix", "-d", "2", "-k", "16", "-p", "2",
+                             "--exhaustive")),
+    # exponents past any float: their bits were a float overflow and a traceback
+    ("coefficient_bits", ("zeta", "-d", "2", "coeff", "-p", "2", "--nu", f"{10**400},0")),
+    ("coefficient_bits", ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
+                          "--type-cap", str(10**400))),
+]
+CAP_OF = {argv: name for name, argv in OVER_CAP}
+LIBRARY_OVER_CAP = [
+    ("descent_table_dim", lambda: qcomb.descent_poly_inclusion_exclusion(
+        qcomb.DescentSet.of(CAPS["descent_table_dim"] + 1, [1])), 1),
+    ("brute_order", lambda: groups.aut_order(
+        groups.AbelianPGroupType.of(2, (11,)), "brute_force", max_order=10**9), 1),
+    # F_2^7: the third step would try 2,667 planes x 127 vectors
+    ("brute_joins", lambda: groups.aut_order(
+        groups.AbelianPGroupType.of(2, (1,) * 7), "brute_force"), 1),
+    # splitting a 61-bit times a 59-bit prime needs about 2^29.5 steps
+    ("rho_steps", lambda: primes.factorize((2**61 - 1) * (2**59 - 55)), 5),
+]
+AT_CAP = [
+    ("type_labels",
+     ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "61")),
+    ("type_labels",
+     ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "3")),
+    ("corank_dim", ("density", "-d", str(CAPS["corank_dim"]), "-m", "1")),
+    ("prime_cutoff", ("density", "-d", "8", "-m", "4", "--cutoff", str(CAPS["prime_cutoff"]))),
+    ("qident_size", ("verify", "qident", "--n", str(CAPS["qident_size"]),
+                     "--e", str(CAPS["qident_size"]), "--d", str(CAPS["qident_dim"]))),
+    ("zidentity_dim", ("verify", "zidentity", "--d", str(CAPS["zidentity_dim"]))),
+    ("local_factor_dim", ("zeta", "-d", str(CAPS["local_factor_dim"]), "print-local")),
+    ("tally_rank", ("tally", "-d", str(CAPS["tally_rank"]), "-X", "3")),
+    ("enum_matrices", ("tally", "-d", "3", "-X", "3", "--method", "enumerate",
+                       "--max-matrices", "8")),
+    ("sublattice_index", ("simulate", "sublattice", "-d", str(CAPS["matrix_dim"]),
+                          "-X", str(CAPS["sublattice_index"]), "-p", "2", "-n", "10")),
+    ("entry_bits", ("simulate", "matrix", "-d", str(CAPS["matrix_dim"]),
+                    "-k", str(2 ** CAPS["entry_bits"] - 1), "-p", "2", "-n", "2")),
+]
+
+
+def test_every_cap_has_a_case_past_it():
+    assert {name for name, *_ in OVER_CAP + LIBRARY_OVER_CAP} == set(CAPS)
+
+
+def test_only_check_cap_raises_the_resource_error():
+    src = Path(cli.__file__).parent
+    raisers = [path.name for path in sorted(src.glob("*.py"))
+               if "raise ResourceLimitError" in path.read_text()]
+    assert raisers == ["errors.py"]
+
+
+def test_readme_table_lists_every_cap():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.split("### Caps", 1)[1].splitlines()
+            if line.startswith("| `")]
+    assert {name.strip(" `"): int(limit.replace(",", "")) for name, limit in rows} == CAPS
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate matrix -d 3 -k 5 -p 2 -n 20",
+    "simulate matrix -d 2 -k 1 -p 3 -n 0 --exhaustive",
+    "simulate sublattice -d 3 -X 50 -p 2 -n 20",
+])
+def test_a_simulate_run_checks_each_cap_once(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(name, cost, limit=None):
+        calls.append(name)
+        check_cap(name, cost, limit)
+
+    for module in (cli, groups, lattices, primes, qcomb, simulate, zeta):
+        if hasattr(module, "check_cap"):
+            monkeypatch.setattr(module, "check_cap", counted)
+    assert cli.main(argv.split()) == 0
+    assert len(calls) == len(set(calls)), calls
+    manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert set(manifest["caps"]) == set(calls)
+
+
 class TestInputContracts:
     @pytest.mark.parametrize("args", [
         ("zeta", "-d", "2", "coeff", "-p", "4", "--nu", "1,0"),
@@ -198,7 +336,7 @@ class TestInputContracts:
         assert "resource limit" in proc.stderr
 
     def test_matrix_dimension_cap_exits_2_promptly(self):
-        proc = run_cli("simulate", "matrix", "-d", str(MAX_MATRIX_DIM + 1), "-k", "1000",
+        proc = run_cli("simulate", "matrix", "-d", str(CAPS["matrix_dim"] + 1), "-k", "1000",
                        "-p", "2", "-n", "1", timeout=20)
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
@@ -216,47 +354,22 @@ class TestInputContracts:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["empirical"]["rank"]["trials"] == 3
 
-    @pytest.mark.parametrize("args", [
-        # C(2 + 62, 2) = 2016 and C(20 + 4, 20) = 10,626 types, past MAX_TYPE_LABELS
-        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "62"),
-        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "4"),
-        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
-         "--type-cap", "100000"),
-        # refused before the first of the trials the work cap allows (about 11 s)
-        ("simulate", "matrix", "-d", "2", "-k", "10000", "-p", "2",
-         "-n", str(MAX_TRIAL_WORK // 27), "--type-cap", "62"),
-        # the theories' denominators p^(c d^2 + d(d+1)/2) and p^(d^2) pass 14,000 bits
-        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2305843009213693951", "-n", "5"),
-        ("simulate", "matrix", "-d", "16", "-k", "5", "-p", "2305843009213693951",
-         "-n", str(MAX_TRIAL_WORK // 16**3), "--type-cap", "0"),
-        ("density", "-d", str(MAX_CORANK_DIM + 1), "-m", "1"),
-        ("density", "-d", "400", "-m", "1"),
-        ("density", "-d", "2", "-m", "1", "--cutoff", str(MAX_PRIME_CUTOFF + 1)),
-        # nu = (e, 0, 0) at p = 2 bounds the coefficient by 2^(3 + 2e)
-        ("zeta", "-d", "3", "coeff", "-p", "2", "--nu", f"{MAX_COEFFICIENT_BITS // 2 - 1},0,0"),
-        ("zeta", "-d", "3", "coeff", "-p", "2", "--nu", "1000000,0,0"),
-        ("zeta", "-d", "1", "coeff", "-p", "2", "--nu", str(MAX_COEFFICIENT_BITS + 1)),
-        ("verify", "qident", "--n", str(cli.MAX_QIDENT_SIZE + 1)),
-        ("verify", "qident", "--e", str(cli.MAX_QIDENT_SIZE + 1)),
-        ("verify", "qident", "--d", str(cli.MAX_QIDENT_DIM + 1)),
-        ("verify", "zidentity", "--d", str(cli.MAX_ZIDENTITY_DIM + 1)),
-    ])
+    @pytest.mark.parametrize("args", [argv for _, argv in OVER_CAP])
     def test_size_cap_exits_2_within_a_second(self, args):
         start = time.perf_counter()
         proc = run_cli(*args, timeout=20)
         assert time.perf_counter() - start < 1
         assert proc.returncode == 2, proc.stderr
-        assert "resource limit" in proc.stderr
+        assert f"resource limit: {CAP_OF[args]} cap exceeded" in proc.stderr
 
-    @pytest.mark.parametrize("args", [
-        ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "61"),
-        ("simulate", "matrix", "-d", "20", "-k", "5", "-p", "2", "-n", "5", "--type-cap", "3"),
-        ("density", "-d", str(MAX_CORANK_DIM), "-m", "1"),
-        ("density", "-d", "8", "-m", "4", "--cutoff", str(MAX_PRIME_CUTOFF)),
-        ("verify", "qident", "--n", str(cli.MAX_QIDENT_SIZE), "--e", str(cli.MAX_QIDENT_SIZE),
-         "--d", str(cli.MAX_QIDENT_DIM)),
-        ("verify", "zidentity", "--d", str(cli.MAX_ZIDENTITY_DIM)),
-    ])
+    @pytest.mark.parametrize("name, call, seconds", LIBRARY_OVER_CAP)
+    def test_library_cap_raises_promptly(self, name, call, seconds):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^{name} cap exceeded"):
+            call()
+        assert time.perf_counter() - start < seconds
+
+    @pytest.mark.parametrize("args", [argv for _, argv in AT_CAP])
     def test_largest_input_under_a_size_cap_exits_0(self, args):
         proc = run_cli(*args, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -273,8 +386,8 @@ class TestInputContracts:
         assert Fraction(theory["rank"][f"rank {d}"]) == Fraction(1, p ** (d * d))
         assert sum(map(Fraction, theory["type"].values())) == 1
 
-    @pytest.mark.parametrize("d, nu", [(3, (MAX_COEFFICIENT_BITS // 2 - 2, 0, 0)),
-                                       (1, (MAX_COEFFICIENT_BITS,))])
+    @pytest.mark.parametrize("d, nu", [(3, (CAPS["coefficient_bits"] // 2 - 2, 0, 0)),
+                                       (1, (CAPS["coefficient_bits"],))])
     def test_largest_coefficient_under_its_cap_is_printed(self, d, nu):
         proc = run_cli("zeta", "-d", str(d), "coeff", "-p", "2",
                        "--nu", ",".join(map(str, nu)), timeout=20)
@@ -501,6 +614,20 @@ class TestManifestAndReproducibility:
         manifest = json.loads(proc.stderr.splitlines()[-1])
         assert isinstance(manifest["peak_rss_kb"], int)
         assert manifest["peak_rss_kb"] > 0
+
+    @pytest.mark.parametrize("args, caps", [
+        ("density -d 4 -m 1 --cutoff 1000",
+         {"corank_dim": [4, CAPS["corank_dim"]], "prime_cutoff": [1000, CAPS["prime_cutoff"]]}),
+        # --max-matrices lowers the limit it records; index 2 of Z^3 has 3 diagonals
+        ("tally -d 3 -X 3 --method enumerate --max-matrices 8",
+         {"enum_matrices": [8, 8], "hermite_table": [9, CAPS["hermite_table"]]}),
+        ("zeta -d 2 print-local", {"local_factor_dim": [2, CAPS["local_factor_dim"]],
+                                   "descent_table_dim": [2, CAPS["descent_table_dim"]]}),
+    ])
+    def test_manifest_lists_the_caps_the_run_checked(self, args, caps):
+        proc = run_cli(*args.split())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1])["caps"] == caps
 
     def test_manifest_records_seed(self):
         proc = run_cli("simulate", "matrix", "-d", "2", "-k", "10", "-p", "2",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cotype import lattices as lat
-from cotype.errors import DomainError, ResourceLimitError
+from cotype.errors import CAPS, DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
 from helpers import (
@@ -113,7 +113,7 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             lat.tally_cotypes(3, 2000, method="enumerate", max_matrices=10**10)
         with pytest.raises(DomainError):
-            list(lat.enumerate_hnf(2, 4, max_matrices=lat.DEFAULT_ENUM_CAP + 1))
+            list(lat.enumerate_hnf(2, 4, max_matrices=CAPS["enum_matrices"] + 1))
         assert time.perf_counter() - start < 1
 
 
@@ -429,10 +429,10 @@ class TestTally:
         with pytest.raises(ResourceLimitError):
             lat.tally_cotypes(3, 50, method="enumerate", max_matrices=100)
         # just past each of the formula's caps, and at the rank cap
-        for d, X in [(lat.MAX_TALLY_RANK + 1, 2), (3, lat.MAX_TALLY_SIZE // 3 + 1)]:
+        for d, X in [(CAPS["tally_rank"] + 1, 2), (3, CAPS["tally_size"] // 3 + 1)]:
             with pytest.raises(ResourceLimitError):
                 lat.tally_cotypes(d, X)
-        assert lat.tally_cotypes(lat.MAX_TALLY_RANK, 3).total == 2**lat.MAX_TALLY_RANK
+        assert lat.tally_cotypes(CAPS["tally_rank"], 3).total == 2 ** CAPS["tally_rank"]
         with pytest.raises(ResourceLimitError):
             lat.tally_cotypes(1, 10**9, method="enumerate", max_matrices=10**8)
 

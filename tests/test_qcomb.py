@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from cotype import qcomb as qc
-from cotype.errors import DomainError, ResourceLimitError
+from cotype.errors import CAPS, DomainError, ResourceLimitError
 
 
 @lru_cache(maxsize=None)
@@ -202,11 +202,9 @@ class TestDescentPolynomials:
     def test_permutation_cap(self):
         with pytest.raises(ResourceLimitError):
             qc.descent_poly_permutations(qc.DescentSet.of(10, [1]))
-        with pytest.raises(ResourceLimitError):
-            qc.descent_poly_permutations(qc.DescentSet.of(5, [1]), cap=4)
 
     def test_inclusion_exclusion_table_cap(self):
-        d = qc.MAX_DESCENT_TABLE_DIM + 1
+        d = CAPS["descent_table_dim"] + 1
         with pytest.raises(ResourceLimitError):
             qc.descent_poly_inclusion_exclusion(qc.DescentSet.of(d, [1]))
 

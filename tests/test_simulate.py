@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from cotype import cli
 from cotype import simulate as sim
 from cotype import zeta as zt
-from cotype.errors import DomainError, LabelMismatchError, ResourceLimitError
+from cotype.errors import CAPS, DomainError, LabelMismatchError, ResourceLimitError
 from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
 from cotype.lattices import (
     HermiteBasis, cotype_of, enumerate_hnf, hermite_diagonals, hermite_matrix, p_part,
@@ -148,29 +148,34 @@ class TestMatrixModel:
         assert res.rank_table.counts == ranks
         assert res.type_table.trials == 81
 
+    # A config past a cap cannot be built, so no run or draw of it can start.
     def test_exhaustive_cap(self):
-        cfg = sim.SampleConfig(d=2, trials=1, master_seed=0, p=2,
-                               entry_bound=50, exhaustive=True)
         with pytest.raises(ResourceLimitError):
-            sim.run_matrix_model(cfg)
+            sim.SampleConfig(d=2, trials=1, master_seed=0, p=2, entry_bound=50, exhaustive=True)
 
     def test_dimension_cap(self):
-        cfg = matrix_cfg(d=sim.MAX_MATRIX_DIM + 1, trials=1)
         with pytest.raises(ResourceLimitError):
-            sim.run_matrix_model(cfg)
+            matrix_cfg(d=CAPS["matrix_dim"] + 1, trials=1)
         with pytest.raises(ResourceLimitError):
-            next(sim.sample_cokernel_type(cfg))
+            sim.SampleConfig(d=CAPS["matrix_dim"] + 1, trials=1, master_seed=0, p=2,
+                             index_bound=50)
 
     def test_work_cap(self):
         # trials * max(d, 3)^3 past the cap is refused before the first draw,
         # in both models
-        over = sim.MAX_TRIAL_WORK // 27 + 1
-        for cfg in (matrix_cfg(d=2, trials=over),
-                    sim.SampleConfig(d=3, trials=over, master_seed=0, p=2, index_bound=50),
-                    matrix_cfg(d=20, trials=sim.MAX_TRIAL_WORK // 8000 + 1)):
+        over = CAPS["trial_work"] // 27 + 1
+        for kw in (dict(d=2, trials=over, entry_bound=100),
+                   dict(d=3, trials=over, index_bound=50),
+                   dict(d=20, trials=CAPS["trial_work"] // 8000 + 1, entry_bound=100)):
             with pytest.raises(ResourceLimitError):
-                next(sim.sample_cokernel_type(cfg))
+                sim.SampleConfig(master_seed=0, p=2, **kw)
         assert next(sim.sample_cokernel_type(matrix_cfg(d=2, trials=over - 1)))
+
+    def test_entry_bound_cap(self):
+        with pytest.raises(ResourceLimitError):
+            matrix_cfg(d=20, trials=2, entry_bound=2 ** CAPS["entry_bits"])
+        assert next(sim.sample_cokernel_type(
+            matrix_cfg(d=20, trials=2, entry_bound=2 ** CAPS["entry_bits"] - 1)))
 
     def test_work_cap_admits_every_documented_run(self):
         # the simulate commands of the README and of the benchmark workloads
@@ -185,7 +190,7 @@ class TestMatrixModel:
         for argv in runs:
             n = int(argv[argv.index("-n") + 1]) if "-n" in argv else 10000
             d = int(argv[argv.index("-d") + 1])
-            assert n * max(d, 3) ** 3 <= sim.MAX_TRIAL_WORK, argv
+            assert n * max(d, 3) ** 3 <= CAPS["trial_work"], argv
 
     def test_p_rank_matches_mod_p_elimination(self):
         cfg = matrix_cfg(trials=300, entry_bound=30, master_seed=3)
@@ -453,7 +458,7 @@ class TestUniformSublattices:
 
     def test_resource_caps(self):
         with pytest.raises(ResourceLimitError):
-            sim.SublatticeSampler(sim.MAX_MATRIX_DIM + 1, 100)
+            sim.SublatticeSampler(CAPS["matrix_dim"] + 1, 100)
         with pytest.raises(ResourceLimitError):
             sim.SublatticeSampler(2, 10**5)
 
@@ -498,7 +503,7 @@ class TestContainment:
         L = HermiteBasis(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(ResourceLimitError):
             sim.containment_probability_exact(3, L, 3 * 10**5)
-        d = sim.DEFAULT_SUBLATTICE_DIM_CAP + 1
+        d = CAPS["matrix_dim"] + 1
         with pytest.raises(ResourceLimitError):
             sim.containment_probability_exact(d, HermiteBasis([[int(i == j) for j in range(d)]
                                                                for i in range(d)]), 100)

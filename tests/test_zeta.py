@@ -1,6 +1,7 @@
 """Tests for local factors, coefficient extraction, densities, and Euler products."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from mpmath import mp, mpf, zeta as mp_zeta
 
 from cotype import lattices as lat
 from cotype import zeta as zt
-from cotype.errors import DomainError, NotWeaklyDecreasingError, ResourceLimitError
+from cotype.errors import CAPS, DomainError, NotWeaklyDecreasingError, ResourceLimitError
 from cotype.primes import primes_upto
 from cotype.qcomb import ONE, Q, q_binomial, value_at_inverse
 from helpers import euler_product_oracle, series_coefficient
@@ -34,7 +35,7 @@ class TestLocalFactor:
         assert lf.coefficient((1, 2)).coeffs == (0, 0, 0, 1)  # q^3
 
     def test_cap(self):
-        for d in (zt.DEFAULT_LOCAL_FACTOR_CAP + 1, 20):
+        for d in (CAPS["local_factor_dim"] + 1, 20):
             with pytest.raises(ResourceLimitError):
                 zt.local_factor(d)
 
@@ -106,10 +107,30 @@ class TestDirichletCoefficients:
         assert zt.dirichlet_coefficient(3, 2) == 7  # 1 + 2 + 4
 
     def test_sieve_matches_multiplicative_route(self):
-        for d in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4, 6):
             coeffs = zt.dirichlet_coefficients_upto(d, 121)
             for n in range(1, 121):
                 assert coeffs[n] == zt.dirichlet_coefficient(d, n), (d, n)
+
+    def test_prime_powers_match_the_cotype_tables(self):
+        # N_d(p^e) = [e + d - 1 choose d - 1]_p sums the index-p^e cotype table
+        for d in (1, 2, 3, 5):
+            for p in (2, 3, 7):
+                for e in range(6):
+                    table = zt._local_cotype_table(d, p, e)
+                    assert zt.dirichlet_coefficient(d, p**e) == sum(c for _, c in table)
+
+    def test_caps(self):
+        start = time.perf_counter()
+        # [60 + 39 choose 39]_2 has under 39 * 61 bits, within coefficient_bits
+        value = zt.dirichlet_coefficient(40, 2**60)
+        assert value == sum(c << i for i, c in enumerate(q_binomial(99, 39).coeffs))
+        with pytest.raises(ResourceLimitError):
+            zt.dirichlet_coefficient(40, 2**401)
+        with pytest.raises(ResourceLimitError):
+            zt.dirichlet_coefficients_upto(3, CAPS["tally_size"] // 3 + 1)
+        assert time.perf_counter() - start < 1
+        assert len(zt.dirichlet_coefficients_upto(3, CAPS["tally_size"] // 3)) == 10**5
 
     def test_sigma_for_d2(self):
         coeffs = zt.dirichlet_coefficients_upto(2, 50)
