@@ -42,6 +42,7 @@ from .qcomb import (
     descent_poly_permutations,
     qbinom_subset_identity_holds,
     qbinom_telescope_holds,
+    q_binomial,
 )
 from .simulate import (
     OTHER_LABEL,
@@ -233,12 +234,20 @@ def _suite_oracle(args) -> list[CaseResult]:
 
 
 def _suite_autorder(args) -> list[CaseResult]:
-    out = []
+    emax = {}
     for p in (2, 3):
-        emax = 0
-        while p ** (emax + 1) <= args.max_order:
-            emax += 1
-        for size in range(emax + 1):
+        emax[p] = 0
+        while p ** (emax[p] + 1) <= args.max_order:
+            emax[p] += 1
+    # Once, before any search: no group of order p^r has a wider search step
+    # than F_p^r, its most subspaces of one dimension times its p^r - 1 vectors.
+    # r stops where the brute_order cap refuses a group anyway.
+    top = CAPS["brute_order"].bit_length() - 1
+    check_cap("brute_joins", max(max(q_binomial(r, i)(p) for i in range(r + 1)) * (p**r - 1)
+                                 for p, r in ((p, min(e, top)) for p, e in emax.items())))
+    out = []
+    for p, e in emax.items():
+        for size in range(e + 1):
             for parts in partitions_of(size):
                 G = AbelianPGroupType.of(p, parts)
                 closed = aut_order(G, "closed_form")

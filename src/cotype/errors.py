@@ -50,11 +50,12 @@ CAPS = {
     "descent_table_dim": 14,
     # Order of the group a brute-force search builds, whose addition table
     # holds order^2 entries: 2^20 at the cap; the cyclic group of order 1024
-    # took 0.17 s. max_order (512 by default) can lower it.
+    # takes 0.15 s. max_order (512 by default) can lower it.
     "brute_order": 1024,
-    # (span, candidate) pairs of one brute-force step, counted step by step:
-    # F_2^6 needs 87,885 (1,395 subspaces of dimension 3 x 63 vectors) and
-    # takes 0.4 s, F_2^7 338,709.
+    # (span, candidate) pairs of one brute-force step, counted step by step,
+    # and by `verify autorder` for F_p^r before any search: F_2^6 needs 87,885
+    # (1,395 subspaces of dimension 3 x 63 vectors) and takes 0.05 s, F_2^7
+    # 1,499,997 (11,811 x 127).
     "brute_joins": 2 * 10**5,
     # Types rank_d_masses tabulates, C(d + exponent cap, d): `simulate` at d = 2
     # with a type cap of 61 (1,953 types) took 0.8 s, at d = 20 with a cap of 3

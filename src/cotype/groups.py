@@ -6,11 +6,11 @@ automorphism-group orders by three independent routes, subgroup-embedding
 tests, and the Cohen-Lenstra probability masses (as exact brackets) together
 with their rank-bounded variant.
 
-One brute-force search is the oracle of every closed form here: it counts the
-tuples of given orders in an explicit group that generate a subgroup of a given
-type (`_generating_tuples_brute`). |Aut(G)| counts the generating tuples of G
-itself, H embeds in G when some tuple of G generates a copy of H, and
-`count_generating_tuples(..., "brute")` searches (Z/p^a)^d.
+One brute-force search is the oracle of every closed form here: it counts, coset
+by coset, the tuples of given orders in an explicit group that generate a
+subgroup of a given type (`_generating_tuples_brute`). |Aut(G)| counts the
+generating tuples of G itself, H embeds in G when some tuple of G generates a
+copy of H, and `count_generating_tuples(..., "brute")` searches (Z/p^a)^d.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, PrimeMismatchError, RankExceedsDimensionError, check_cap
@@ -128,8 +129,6 @@ def ambient_subgroup_count(d: int, lam: Partition | Iterable[int], p: int) -> in
     parts = lam.parts if isinstance(lam, Partition) else Partition.of(lam).parts
     if len(parts) > d:
         return 0
-    if not parts:
-        return 1
     conj = conjugate(parts) + (0,)
     out = 1
     for i in range(len(conj) - 1):
@@ -187,8 +186,6 @@ def count_generating_tuples(
 def _aut_order_tuple_identity(p: int, parts: tuple[int, ...]) -> int:
     """Solve  |Aut| * #subgroups = #generating tuples  with ambient rank = rank."""
     r = len(parts)
-    if r == 0:
-        return 1
     tuples = generating_tuple_count(r, p, parts)
     subgroups = ambient_subgroup_count(r, Partition(parts), p)
     q, rem = divmod(tuples, subgroups)
@@ -221,16 +218,12 @@ class _SmallGroup:
         return frozenset((0,))
 
     def join(self, sub: frozenset, x: int) -> frozenset:
-        """The subgroup generated by sub and x: the cosets sub + k x."""
-        if x in sub:
-            return sub
-        add = self.add
-        out = set(sub)
-        base = list(sub)
-        t = x
+        """The subgroup generated by sub and x: the cosets k x + sub."""
+        get = itemgetter(*sub, 0)
+        out, t = set(sub), x
         while t not in sub:
-            row = add[t]
-            out.update(row[h] for h in base)
+            row = self.add[t]
+            out.update(get(row))
             t = row[x]
         return frozenset(out)
 
@@ -241,34 +234,36 @@ def _generating_tuples_brute(p: int, ambient: tuple[int, ...], lam: tuple[int, .
     exactly p^(lam_i), that generate a subgroup of type lam.
 
     Such a tuple spans a subgroup of order p^|lam| exactly when that subgroup
-    is the direct sum of the cyclic groups <x_i>, that is of type lam, so the
-    search tracks subgroup orders only. Organized as a DP over the subgroup
-    lattice so repeated partial spans are counted once. A span is built only
-    if its order, |sub| times the order of x modulo sub, can still end at
-    p^|lam| with the remaining orders; the last step needs the count alone.
-    ResourceLimitError past the caps brute_order (or max_order elements) and
-    brute_joins (span, candidate) pairs in one step.
+    is the direct sum of the cyclic groups <x_i>, that is of type lam, so a DP
+    over the subgroup lattice counts the spans. All x in a coset x + sub span
+    one group with sub, so a step builds one span per coset, if its order,
+    |sub| times the order of x modulo sub, can still reach p^|lam|; the last
+    step only counts. ResourceLimitError past the caps brute_order (or
+    max_order elements) and brute_joins (span, candidate) pairs in one step.
     """
     if max_order < 0:
         raise DomainError(f"the brute-force cap must be >= 0, got {max_order}")
     check_cap("brute_order", p ** sum(ambient), max_order)
     G = _SmallGroup(p, ambient)
-    times_p = G.times_p
-    target = p ** sum(lam)
+    add, times_p, target = G.add, G.times_p, p ** sum(lam)
     states: dict[frozenset, int] = {G.trivial_subgroup(): 1}
     for i, a in enumerate(lam):
-        cand = [x for x in range(G.n) if G.order_exp[x] == a]
+        cand = frozenset(x for x in range(G.n) if G.order_exp[x] == a)
         check_cap("brute_joins", len(states) * len(cand))
         rest = p ** sum(lam[i + 1:])
         new: dict[frozenset, int] = {}
         for sub, cnt in states.items():
-            for x in cand:
+            get, left = itemgetter(*sub, 0), set(cand)
+            while left:
+                x = left.pop()
+                coset = cand.intersection(get(add[x]))
+                left -= coset
                 size, y = len(sub), x
                 while y not in sub:
                     y, size = times_p[y], size * p
                 if size <= target <= size * rest:
-                    t = G.join(sub, x) if rest > 1 else sub  # last: count only
-                    new[t] = new.get(t, 0) + cnt
+                    t = G.join(sub, x) if rest > 1 else sub
+                    new[t] = new.get(t, 0) + cnt * len(coset)
         states = new
     return sum(states.values())
 
@@ -297,9 +292,8 @@ def aut_order(
 def embeds(H: AbelianPGroupType, G: AbelianPGroupType) -> bool:
     """True iff H is isomorphic to a subgroup of G.
 
-    Classical criterion: part-wise domination lambda_i(H) <= lambda_i(G). It is
-    verified against embeds_brute_force in the test suite rather than assumed
-    blindly.
+    Classical criterion: part-wise domination lambda_i(H) <= lambda_i(G), which
+    embeds_brute_force checks.
     """
     if H.is_trivial:
         return True

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output contracts, exit codes, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotype import cli, groups, lattices, primes, qcomb, simulate, zeta
-from cotype.errors import CAPS, ResourceLimitError, check_cap
+from cotype.errors import CAPS, CHECKED, ResourceLimitError, check_cap
 from cotype.zeta import dirichlet_coefficients_upto
 
 
@@ -217,6 +218,8 @@ OVER_CAP = [
     ("coefficient_bits", ("zeta", "-d", "2", "coeff", "-p", "2", "--nu", f"{10**400},0")),
     ("coefficient_bits", ("simulate", "matrix", "-d", "2", "-k", "5", "-p", "2", "-n", "5",
                           "--type-cap", str(10**400))),
+    # F_2^7 has 11,811 subspaces of dimension 3, each tried with 127 vectors
+    ("brute_joins", ("verify", "autorder", "--max-order", "128")),
 ]
 CAP_OF = {argv: name for name, argv in OVER_CAP}
 LIBRARY_OVER_CAP = [
@@ -260,6 +263,27 @@ def test_only_check_cap_raises_the_resource_error():
     raisers = [path.name for path in sorted(src.glob("*.py"))
                if "raise ResourceLimitError" in path.read_text()]
     assert raisers == ["errors.py"]
+
+
+def test_autorder_refuses_before_any_search(monkeypatch):
+    def searched(*args):
+        raise AssertionError("a brute-force search ran")
+
+    monkeypatch.setattr(groups, "_generating_tuples_brute", searched)
+    with pytest.raises(ResourceLimitError, match="^brute_joins cap exceeded"):
+        cli._suite_autorder(argparse.Namespace(max_order=128))
+
+
+@pytest.mark.parametrize("p, r", [(2, 6), (3, 4), (5, 3)])
+def test_f_p_r_bounds_every_brute_step_of_its_order(p, r):
+    # the brute_joins cost verify autorder checks before its searches, which
+    # F_p^r attains: its most subspaces of one dimension times p^r - 1 vectors
+    CHECKED.clear()
+    for size in range(r + 1):
+        for parts in groups.partitions_of(size):
+            groups.aut_order(groups.AbelianPGroupType.of(p, parts), "brute_force")
+    widest = max(qcomb.q_binomial(r, i)(p) for i in range(r + 1)) * (p**r - 1)
+    assert CHECKED["brute_joins"][0] == widest
 
 
 def test_readme_table_lists_every_cap():
@@ -623,6 +647,9 @@ class TestManifestAndReproducibility:
          {"enum_matrices": [8, 8], "hermite_table": [9, CAPS["hermite_table"]]}),
         ("zeta -d 2 print-local", {"local_factor_dim": [2, CAPS["local_factor_dim"]],
                                    "descent_table_dim": [2, CAPS["descent_table_dim"]]}),
+        # 1,395 subspaces of dimension 3 in F_2^6, each tried with 63 vectors
+        ("verify autorder --max-order 64",
+         {"brute_joins": [87885, CAPS["brute_joins"]], "brute_order": [64, 64]}),
     ])
     def test_manifest_lists_the_caps_the_run_checked(self, args, caps):
         proc = run_cli(*args.split())

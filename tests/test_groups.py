@@ -1,5 +1,6 @@
 """Tests for abelian p-group types, automorphism orders, and mass functions."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -239,6 +240,27 @@ class TestGeneratingTuples:
             gr.count_generating_tuples(1, 4, (1,))
         with pytest.raises(DomainError):
             gr.count_generating_tuples(1, 2, (1,), "auto")
+
+    # every ambient type of order <= 32 (p = 2) or 27 (p = 3), with every
+    # nonempty type of at most 3 parts and no larger order: 205 cases
+    NAIVE_CASES = [(p, ambient, lam) for p, emax in ((2, 5), (3, 3))
+                   for size in range(emax + 1) for ambient in gr.partitions_of(size)
+                   for k in range(1, size + 1) for lam in gr.partitions_of(k, max_parts=3)]
+
+    def test_brute_matches_naive_enumeration(self):
+        # each tuple on its own, with no coset grouping: close it under join and
+        # keep it if its span has order p^|lam|
+        assert len(self.NAIVE_CASES) == 205
+        for p, ambient, lam in self.NAIVE_CASES:
+            G = gr._SmallGroup(p, ambient)
+            of_order = [[x for x in range(G.n) if G.order_exp[x] == a] for a in lam]
+            naive = 0
+            for xs in itertools.product(*of_order):
+                span = G.trivial_subgroup()
+                for x in xs:
+                    span = G.join(span, x)
+                naive += len(span) == p ** sum(lam)
+            assert gr._generating_tuples_brute(p, ambient, lam, 32) == naive, (p, ambient, lam)
 
 
 class TestCohenLenstraMass:
