@@ -1,27 +1,31 @@
 """Command-line front end.
 
 Subcommands: tally, density, verify, simulate, zeta. Primary output is a single
-deterministic document on stdout (JSON with sorted keys, or CSV/plain text where
-noted); a run manifest (parameters, seed, the caps the run checked with their
-costs and limits, version, wall time, sha256 of the primary output, peak RSS)
-goes to stderr as one JSON line. Exit codes: 0 success, 1 bad arguments or
-domain errors, 2 resource limit (a cap of `errors.CAPS`), 3 verification
-failure.
+deterministic document on stdout (JSON with sorted keys, or plain text where
+noted); `--out` writes a JSON or CSV file. This module encodes every document,
+and the library returns counts, tables and dataclasses. A run manifest
+(parameters, seed, the caps the run checked with their costs and limits,
+version, wall time, sha256 of the primary output, peak RSS) goes to stderr as
+one JSON line. Exit codes: 0 success, 1 bad arguments or domain errors, 2
+resource limit (a cap of `errors.CAPS`), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import CAPS, CHECKED, CotypeError, DomainError, ResourceLimitError, check_cap
+from .errors import (CAPS, CHECKED, CotypeError, DomainError, ResourceLimitError,
+                     check_cap, power_bits)
 from .groups import (
     AbelianPGroupType,
     aut_order,
@@ -30,6 +34,7 @@ from .groups import (
 )
 from .lattices import (
     TALLY_METHODS,
+    corank,
     enumeration_size,
     tally_cotypes,
     tally_cotypes_at_index,
@@ -101,30 +106,61 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _csv(header: list[str], rows) -> str:
+    """The rows under their header, in the csv module's default dialect."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: str, text: str) -> None:
+    """Write the --out document; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # tally
 # ---------------------------------------------------------------------------
 
 
+def _tally_rows(tally) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """(alpha, corank, index, count) rows, by index and then cotype."""
+    rows = [(alpha, corank(alpha), math.prod(alpha), c) for alpha, c in tally.counts.items()]
+    rows.sort(key=lambda r: (r[2], r[0]))
+    return rows
+
+
+def _tally_doc(tally, rows: bool, keys=("N", "N_by_corank")) -> dict:
+    """The tally document. stdout names its totals N and N_by_corank, and the
+    --out file total and n_by_corank."""
+    total, by_corank = keys
+    doc = {"d": tally.d, "X": tally.X, "bound": "index < X",
+           total: tally.total, by_corank: tally.n_by_corank()}
+    if rows:
+        doc["rows"] = [{"alpha": list(alpha), "corank": crk, "index": idx, "count": c}
+                       for alpha, crk, idx, c in _tally_rows(tally)]
+    return doc
+
+
 def _cmd_tally(args) -> tuple[int, str]:
     tally = tally_cotypes(args.d, args.X, method=args.method,
                           max_matrices=args.max_matrices)
-    if args.out:
-        if args.format == "csv":
-            tally.write_csv(args.out)
-        else:
-            tally.write_json(args.out)
-    summary = {
-        "d": args.d,
-        "X": args.X,
-        "bound": "index < X",
-        "N": tally.total,
-        "N_by_corank": tally.n_by_corank(),
-    }
-    if not args.out and args.format == "json":
-        summary["rows"] = tally.json_rows()
+    if args.out and args.format == "csv":
+        _write(args.out, f"# d={tally.d} X={tally.X} convention: index < X\n" + _csv(
+            ["alpha", "corank", "index", "count"],
+            ([".".join(map(str, alpha)), crk, idx, c]
+             for alpha, crk, idx, c in _tally_rows(tally))))
+    elif args.out:
+        _write(args.out, _dump(_tally_doc(tally, rows=True, keys=("total", "n_by_corank"))))
+    doc = _tally_doc(tally, rows=not args.out and args.format == "json")
     del tally  # free the counts before the rows are encoded, a large tally's peak
-    return EXIT_OK, _dump(summary)
+    return EXIT_OK, _dump(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +184,12 @@ def _cmd_density(args) -> tuple[int, str]:
     doc = {
         "d": d,
         "m": m,
-        "corank_density": density.to_json_dict(),
-        "corank_zeta_residue": residue.to_json_dict(),
+        "corank_density": asdict(density),
+        "corank_zeta_residue": asdict(residue),
         "local_density_spot": spot,
     }
     if m == 1 and d >= 2:
-        doc["cocyclic_constant"] = cocyclic_growth_constant(d, cutoff).to_json_dict()
+        doc["cocyclic_constant"] = asdict(cocyclic_growth_constant(d, cutoff))
     return EXIT_OK, _dump(doc)
 
 
@@ -324,10 +360,8 @@ def _theory_bits(d: int, p: int, exponent_cap: int) -> float:
     """log2 of the largest denominator among the exact theories, each a
     polynomial in 1/p with values in [0, 1]: p^(d^2) for the rank theory (the
     term of rank d), p^(c d^2 + d(d+1)/2) for the type theory at exponent cap c
-    (the type (p^c, ..., p^c), whose |Aut| has p-part p^(c d^2)). As log2 p >= 1, an
-    exponent too large for a float stands for its own bits: it is past any cap."""
-    e = max(d * d, exponent_cap * d * d + d * (d + 1) // 2)
-    return e * math.log2(p) if e < 2**64 else e
+    (the type (p^c, ..., p^c), whose |Aut| has p-part p^(c d^2))."""
+    return power_bits(p, max(d * d, exponent_cap * d * d + d * (d + 1) // 2))
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
@@ -352,12 +386,15 @@ def _cmd_simulate(args) -> tuple[int, str]:
     )
     type_cmp = compare_to_theory(type_emp, type_theory, args.z_threshold)
 
+    config = asdict(cfg)
+    if cfg.exhaustive:  # it visits its matrices as its trials, and uses no seed
+        config.update(trials=cfg.matrices, master_seed=None)
     doc = {
-        "config": cfg.to_json_dict(),
+        "config": config,
         "model": args.model,
         "empirical": {
-            "rank": result.rank_table.to_json_dict(),
-            "type": result.type_table.to_json_dict(),
+            "rank": asdict(result.rank_table),
+            "type": asdict(result.type_table),
         },
         "theory": {
             "rank": {k: str(v) for k, v in sorted(rank_theory.items())},
@@ -367,11 +404,14 @@ def _cmd_simulate(args) -> tuple[int, str]:
         "tv_distance": rank_cmp.tv_distance,
         "per_label": rank_cmp.per_label,
         "z_threshold": rank_cmp.z_threshold,
-        "type_comparison": type_cmp.to_json_dict(),
+        "type_comparison": asdict(type_cmp),
         "verdict": rank_cmp.verdict and type_cmp.verdict,
     }
     if args.out:
-        result.type_table.write_csv(args.out)
+        table = result.type_table
+        _write(args.out, _csv(["label", "count", "trials"],
+                              ([label, table.counts[label], table.trials]
+                               for label in sorted(table.counts))))
     return EXIT_OK, _dump(doc)
 
 

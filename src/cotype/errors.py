@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one table of resource
 caps (`CAPS`) with the one check that enforces them (`check_cap`)."""
 
+import math
+
 
 class CotypeError(Exception):
     """Base class for all package-specific errors."""
@@ -120,6 +122,12 @@ CAPS = {
 # The caps checked since the record was last cleared: name -> [largest cost,
 # limit]. `cli.main` clears it on entry and prints it in the run's manifest.
 CHECKED: dict[str, list] = {}
+
+
+def power_bits(p: int, e: int) -> float:
+    """log2 of p^e, as the coefficient_bits cost of the power. As log2 p >= 1,
+    an exponent too large for a float stands for its own bits: it is past any cap."""
+    return e * math.log2(p) if e < 2**64 else e
 
 
 def check_cap(name: str, cost, limit=None) -> None:

@@ -32,9 +32,7 @@ generating-tuple counts, belong to `cotype.groups`.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -448,47 +446,12 @@ class CotypeTally:
     def n_with_corank_at_most(self, m: int) -> int:
         return sum(c for alpha, c in self.counts.items() if corank(alpha) <= m)
 
-    def rows(self) -> list[tuple[tuple[int, ...], int, int, int]]:
-        """Sorted (alpha, corank, index, count) rows."""
-        out = [(alpha, corank(alpha), prod(alpha), c) for alpha, c in self.counts.items()]
-        out.sort(key=lambda r: (r[2], r[0]))
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "X": self.X,
-            "bound": "index < X",
-            "total": self.total,
-            "n_by_corank": self.n_by_corank(),
-            "rows": self.json_rows(),
-        }
-
     def n_by_corank(self) -> dict[str, int]:
         """n_with_corank_at_most(m) for every m <= d, in one pass."""
         at = [0] * (self.d + 1)
         for alpha, c in self.counts.items():
             at[corank(alpha)] += c
         return {str(m): n for m, n in enumerate(itertools.accumulate(at))}
-
-    def json_rows(self) -> list[dict]:
-        return [
-            {"alpha": list(alpha), "corank": crk, "index": idx, "count": c}
-            for alpha, crk, idx, c in self.rows()
-        ]
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# d={self.d} X={self.X} convention: index < X\n")
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "corank", "index", "count"])
-            for alpha, crk, idx, c in self.rows():
-                writer.writerow([".".join(map(str, alpha)), crk, idx, c])
 
 
 def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:

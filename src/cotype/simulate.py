@@ -25,14 +25,13 @@ builds the sublattice sampler before it forks the workers of `cotype.workers`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -122,14 +121,6 @@ class SampleConfig:
         its Smith forms, or at d < 3 that of its seeded draws."""
         return self.trials * max(self.d, 3) ** 3
 
-    def to_json_dict(self) -> dict:
-        """The fields, except that an exhaustive run records the matrices it
-        visits as its trials and no seed, which it never uses."""
-        doc = asdict(self)
-        if self.exhaustive:
-            doc.update(trials=self.matrices, master_seed=None)
-        return doc
-
 
 @dataclass
 class EmpiricalTable:
@@ -149,16 +140,6 @@ class EmpiricalTable:
             else:
                 counts[OTHER_LABEL] += c
         return EmpiricalTable(counts, self.trials)
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "counts": dict(sorted(self.counts.items()))}
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "count", "trials"])
-            for label in sorted(self.counts):
-                writer.writerow([label, self.counts[label], self.trials])
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +398,6 @@ class ComparisonReport:
     z_threshold: float = 4.0
     verdict: bool = True
     note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def compare_to_theory(

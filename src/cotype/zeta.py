@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, NotWeaklyDecreasingError, check_cap
+from .errors import DomainError, NotWeaklyDecreasingError, check_cap, power_bits
 from .groups import Partition, ambient_subgroup_count, partitions_of
 from .primes import factorize, primes_upto, require_prime
 from .qcomb import (
@@ -123,9 +123,7 @@ def local_coefficient(d: int, p: int, nu) -> int:
     require_prime(p)
     nu = _validate_exponents(d, nu)
     E = sum((d - 2 * j + 1) * v for j, v in enumerate(nu, 1))
-    # log2 p >= 1, so an E too large for a float is past the cap as it stands
-    check_cap("coefficient_bits", max(d + (E * math.log2(p) if E < 2**64 else E),
-                                      max(nu, default=0)))
+    check_cap("coefficient_bits", max(d + power_bits(p, E), max(nu, default=0)))
     return ambient_subgroup_count(d, Partition.of(nu), p)
 
 
@@ -276,16 +274,6 @@ class EulerProductValue:
     value: float
     prime_cutoff: int
     tail_bound: float
-
-    def to_json_dict(self, exact_rational: str | None = None) -> dict:
-        out = {
-            "value": self.value,
-            "prime_cutoff": self.prime_cutoff,
-            "tail_bound": self.tail_bound,
-        }
-        if exact_rational is not None:
-            out["exact_rational"] = exact_rational
-        return out
 
 
 def _log_series(f: IntPolynomial) -> list[int]:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output contracts, exit codes, reproducibility."""
 
 import argparse
+import ast
 import hashlib
 import json
 import subprocess
@@ -263,6 +264,44 @@ def test_only_check_cap_raises_the_resource_error():
     raisers = [path.name for path in sorted(src.glob("*.py"))
                if "raise ResourceLimitError" in path.read_text()]
     assert raisers == ["errors.py"]
+
+
+def _writes(call: ast.Call, pipes: set[str]) -> bool:
+    """A call that opens a file for writing: open() in a mode that writes, on
+    anything but the write end of an os.pipe(), or Path.write_text/_bytes."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("write_text", "write_bytes")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    writing = any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value)
+                  for m in modes)
+    target = call.args[0] if call.args else None
+    return writing and not (isinstance(target, ast.Name) and target.id in pipes)
+
+
+def test_only_cli_encodes_and_writes_documents():
+    # the library returns counts, tables and dataclasses; cli encodes each
+    # document and writes each --out file
+    offenders = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        pipes = {name.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and ast.unparse(node.value) == "os.pipe()"
+                 for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if {m.split(".")[0] for m in modules} & {"json", "csv"}:
+                offenders.append((path.name, node.lineno, "imports json or csv"))
+            if isinstance(node, ast.Call) and _writes(node, pipes):
+                offenders.append((path.name, node.lineno, "opens a file for writing"))
+    assert {name for name, *_ in offenders} == {"cli.py"}, offenders
 
 
 def test_autorder_refuses_before_any_search(monkeypatch):
@@ -622,6 +661,35 @@ class TestManifestAndReproducibility:
         a, b = run_cli(*args), run_cli(*args)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+    @pytest.mark.parametrize("args, digest", [
+        ("tally -d 3 -X 20 --format json",
+         "a1488edc30cd82f89d3d3701726519eab374aa6f1c7e53958d4c4134a6db60ef"),
+        ("tally -d 3 -X 20 --format csv",
+         "1dfd2d86831b04673821520ff137174801b61953fefcec5cc685de43860cd4e7"),
+        ("simulate matrix -d 2 -k 3 -p 2 -n 200 --seed 5",
+         "8dbac0b457b88b3817c5820ba49274c8fa89db6b5476a4524e57ec4adf55936a"),
+    ])
+    def test_out_file_is_pinned(self, args, digest, tmp_path):
+        # the --out file, byte for byte, and the stdout beside it is the one
+        # of the same run without --out, less the tally's rows
+        out = tmp_path / "out"
+        proc = run_cli(*args.split(), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        plain = json.loads(run_cli(*args.split()).stdout)
+        plain.pop("rows", None)
+        assert json.loads(proc.stdout) == plain
+
+    @pytest.mark.parametrize("args", [
+        "tally -d 2 -X 10",
+        "simulate matrix -d 2 -k 3 -p 2 -n 10",
+    ])
+    def test_unwritable_out_exits_1(self, args, tmp_path):
+        proc = run_cli(*args.split(), "--out", str(tmp_path / "missing" / "x"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_manifest_checksum_matches_output(self):
         proc = run_cli("tally", "-d", "2", "-X", "20")

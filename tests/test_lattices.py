@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cotype import cli
 from cotype import lattices as lat
 from cotype.errors import CAPS, DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
@@ -443,12 +444,15 @@ class TestTally:
             with pytest.raises(DomainError):
                 lat.tally_cotypes(2, 10, method=method, max_matrices=-1)
 
-    def test_exports(self, tmp_path):
+    def test_exports(self, tmp_path, capsys):
+        # the --out files that cli encodes from the tally's counts
         t = lat.tally_cotypes(2, 12)
         jpath = tmp_path / "t.json"
         cpath = tmp_path / "t.csv"
-        t.write_json(jpath)
-        t.write_csv(cpath)
+        assert cli.main(["tally", "-d", "2", "-X", "12", "--out", str(jpath)]) == 0
+        assert cli.main(["tally", "-d", "2", "-X", "12", "--format", "csv",
+                         "--out", str(cpath)]) == 0
+        capsys.readouterr()
         doc = json.loads(jpath.read_text())
         assert doc["total"] == t.total
         assert doc["bound"] == "index < X"

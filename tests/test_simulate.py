@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import os
 import runpy
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 from bisect import bisect_right
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,17 +83,18 @@ class TestConfig:
         assert matrix_cfg(master_seed=-5).master_seed == -5
 
     def test_json(self):
-        cfg = matrix_cfg()
-        doc = cfg.to_json_dict()
+        doc = asdict(matrix_cfg())
         assert doc["entry_bound"] == 100 and doc["index_bound"] is None
         assert doc["trials"] == 1000 and doc["master_seed"] == 7
 
-    def test_exhaustive_json_records_the_matrices_visited(self):
+    def test_exhaustive_json_records_the_matrices_visited(self, capsys):
         cfg = matrix_cfg(d=2, trials=0, entry_bound=1, exhaustive=True)
-        assert cfg.matrices == 81
-        doc = cfg.to_json_dict()
-        assert doc["trials"] == sim.run_matrix_model(cfg).rank_table.trials == 81
-        assert doc["master_seed"] is None
+        assert cfg.matrices == sim.run_matrix_model(cfg).rank_table.trials == 81
+        # the config that cli prints records them as its trials, and no seed
+        assert cli.main(["simulate", "matrix", "-d", "2", "-k", "1", "-p", "2",
+                         "-n", "0", "--seed", "7", "--exhaustive"]) == 0
+        doc = json.loads(capsys.readouterr().out)["config"]
+        assert doc == dict(asdict(cfg), trials=81, master_seed=None)
 
 
 class TestReproducibility:
@@ -298,16 +301,16 @@ class TestParallelTrials:
         argv = ["simulate", model, "-d", "6", flag, str(bound), "-p", "2",
                 "-n", str(SPLIT_TRIALS), "--seed", "3"]
         run = sim.run_matrix_model if model == "matrix" else sim.run_sublattice_model
-        tables, digests = set(), set()
+        tables, digests = [], set()
         for n in (1, 2, 3):
             forked = cpus(n)
             res = run(cfg)
             assert len(forked) == n - 1
-            tables.add(repr((res.type_table.to_json_dict(), res.rank_table.to_json_dict())))
+            tables.append((asdict(res.type_table), asdict(res.rank_table)))
             assert cli.main(argv) == 0
             assert len(forked) == 2 * (n - 1)
             digests.add(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-        assert len(tables) == len(digests) == 1
+        assert tables[0] == tables[1] == tables[2] and len(digests) == 1
         assert res.type_table.counts.get(sim.FREE_LABEL, 0) > 0 or model == "sublattice"
 
     def test_small_runs_stay_serial(self, cpus):

@@ -1,13 +1,16 @@
 """Tests for local factors, coefficient extraction, densities, and Euler products."""
 
+import json
 import math
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, zeta as mp_zeta
 
+from cotype import cli
 from cotype import lattices as lat
 from cotype import zeta as zt
 from cotype.errors import CAPS, DomainError, NotWeaklyDecreasingError, ResourceLimitError
@@ -280,12 +283,12 @@ class TestEulerProducts:
         fine = zt.cocyclic_growth_constant(3, 10**5)
         assert abs(rough.value - fine.value) <= rough.tail_bound
 
-    def test_json_dict(self):
+    def test_json_dict(self, capsys):
+        # cli prints each product as the fields of its EulerProductValue
         v = zt.corank_density(2, 1, 100)
-        doc = v.to_json_dict(exact_rational=None)
-        assert set(doc) == {"value", "prime_cutoff", "tail_bound"}
-        doc2 = v.to_json_dict(exact_rational="3/4")
-        assert doc2["exact_rational"] == "3/4"
+        assert cli.main(["density", "-d", "2", "-m", "1", "--cutoff", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)["corank_density"]
+        assert doc == asdict(v) and set(doc) == {"value", "prime_cutoff", "tail_bound"}
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
