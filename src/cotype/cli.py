@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
-import io
+import itertools
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import (CAPS, CHECKED, CotypeError, DomainError, ResourceLimitError,
@@ -106,20 +110,31 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv(header: list[str], rows) -> str:
-    """The rows under their header, in the csv module's default dialect."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv(header: list[str], rows) -> Iterable[str]:
+    """The header and each row as one line of text, in the csv module's default
+    dialect: writerow returns what its file's write returns."""
+    return map(csv.writer(SimpleNamespace(write=str)).writerow, itertools.chain([header], rows))
 
 
-def _write(path: str, text: str) -> None:
-    """Write the --out document; a path that cannot be written is bad input."""
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work and
+    without creating or truncating a file."""
+    parent = os.path.dirname(path) or "."
+    for bad, reason in ((os.path.isdir(path), errno.EISDIR),
+                        (not os.path.exists(parent), errno.ENOENT),
+                        (not os.path.isdir(parent), errno.ENOTDIR),
+                        (not os.access(path if os.path.exists(path) else parent, os.W_OK),
+                         errno.EACCES)):
+        if bad:
+            raise DomainError(f"cannot write --out {path}: {os.strerror(reason)}")
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the --out document from its chunks of text; a path that cannot be
+    written is bad input."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write --out {path}: {exc.strerror}") from None
 
@@ -136,31 +151,50 @@ def _tally_rows(tally) -> list[tuple[tuple[int, ...], int, int, int]]:
     return rows
 
 
-def _tally_doc(tally, rows: bool, keys=("N", "N_by_corank")) -> dict:
-    """The tally document. stdout names its totals N and N_by_corank, and the
-    --out file total and n_by_corank."""
+# One row of the tally document as json.dumps(..., sort_keys=True, indent=2)
+# writes it: alpha's entries (joined), corank, count, index. _BLOCK rows make
+# one chunk: few writes where stdout is unbuffered, and little text at a time.
+_BLOCK = 1000
+_ROW = ('\n    {\n      "alpha": [\n        %s\n      ],\n      "corank": %d,'
+        '\n      "count": %d,\n      "index": %d\n    }')
+
+
+def _tally_doc(tally, rows: bool, keys=("N", "N_by_corank")) -> Iterable[str]:
+    """The tally document as chunks of text. stdout names its totals N and
+    N_by_corank, and the --out file total and n_by_corank. Only the head goes
+    through json.dumps; the rows are written from _ROW, block by block."""
     total, by_corank = keys
     doc = {"d": tally.d, "X": tally.X, "bound": "index < X",
            total: tally.total, by_corank: tally.n_by_corank()}
-    if rows:
-        doc["rows"] = [{"alpha": list(alpha), "corank": crk, "index": idx, "count": c}
-                       for alpha, crk, idx, c in _tally_rows(tally)]
-    return doc
+    if not rows:
+        return [_dump(doc)]
+    doc["rows"] = "\0"  # marks where the rows go
+    head, tail = _dump(doc).split('"\\u0000"')
+    return _tally_text(head, _tally_rows(tally), tail)
 
 
-def _cmd_tally(args) -> tuple[int, str]:
+def _tally_text(head: str, rows, tail: str) -> Iterable[str]:
+    """The head, the rows _BLOCK to a chunk, and the tail."""
+    yield head + "["
+    for i in range(0, len(rows), _BLOCK):
+        yield ("," if i else "") + ",".join(
+            _ROW % (",\n        ".join(map(str, alpha)), crk, c, idx)
+            for alpha, crk, idx, c in rows[i:i + _BLOCK])
+    yield ("\n  ]" if rows else "]") + tail
+
+
+def _cmd_tally(args) -> tuple[int, Iterable[str]]:
     tally = tally_cotypes(args.d, args.X, method=args.method,
                           max_matrices=args.max_matrices)
     if args.out and args.format == "csv":
-        _write(args.out, f"# d={tally.d} X={tally.X} convention: index < X\n" + _csv(
-            ["alpha", "corank", "index", "count"],
-            ([".".join(map(str, alpha)), crk, idx, c]
-             for alpha, crk, idx, c in _tally_rows(tally))))
+        _write(args.out, itertools.chain(
+            [f"# d={tally.d} X={tally.X} convention: index < X\n"],
+            _csv(["alpha", "corank", "index", "count"],
+                 ([".".join(map(str, alpha)), crk, idx, c]
+                  for alpha, crk, idx, c in _tally_rows(tally)))))
     elif args.out:
-        _write(args.out, _dump(_tally_doc(tally, rows=True, keys=("total", "n_by_corank"))))
-    doc = _tally_doc(tally, rows=not args.out and args.format == "json")
-    del tally  # free the counts before the rows are encoded, a large tally's peak
-    return EXIT_OK, _dump(doc)
+        _write(args.out, _tally_doc(tally, rows=True, keys=("total", "n_by_corank")))
+    return EXIT_OK, _tally_doc(tally, rows=not args.out and args.format == "json")
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +202,18 @@ def _cmd_tally(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_density(args) -> tuple[int, str]:
+def _cmd_density(args) -> tuple[int, list[str]]:
     d, m, cutoff = args.d, args.m, args.cutoff
     density = corank_density(d, m, cutoff)
     residue = corank_zeta_residue(d, m, cutoff)
-    spot = {
-        str(p): {
-            "exact_rational": str(corank_density_local(d, m, p)),
-            "value": float(corank_density_local(d, m, p)),
-            "matches_matrix_model": corank_density_local(d, m, p)
-            == cokernel_rank_density_local(d, p, m),
+    spot = {}
+    for p in (2, 3, 5):
+        local = corank_density_local(d, m, p)
+        spot[str(p)] = {
+            "exact_rational": str(local),
+            "value": float(local),
+            "matches_matrix_model": local == cokernel_rank_density_local(d, p, m),
         }
-        for p in (2, 3, 5)
-    }
     doc = {
         "d": d,
         "m": m,
@@ -190,7 +223,7 @@ def _cmd_density(args) -> tuple[int, str]:
     }
     if m == 1 and d >= 2:
         doc["cocyclic_constant"] = asdict(cocyclic_growth_constant(d, cutoff))
-    return EXIT_OK, _dump(doc)
+    return EXIT_OK, [_dump(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +353,7 @@ VERIFY_SUITES = {
 }
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     results = VERIFY_SUITES[args.suite](args)
     failures = [r for r in results if not r.ok]
     for f in failures:
@@ -331,7 +364,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         "failures": [{"case": f.case, "detail": f.detail} for f in failures],
         "ok": not failures,
     }
-    return (EXIT_OK if not failures else EXIT_VERIFY), _dump(doc)
+    return (EXIT_OK if not failures else EXIT_VERIFY), [_dump(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +397,7 @@ def _theory_bits(d: int, p: int, exponent_cap: int) -> float:
     return power_bits(p, max(d * d, exponent_cap * d * d + d * (d + 1) // 2))
 
 
-def _cmd_simulate(args) -> tuple[int, str]:
+def _cmd_simulate(args) -> tuple[int, list[str]]:
     matrix = args.model == "matrix"
     if (args.k if matrix else args.X) is None:
         raise DomainError(f"the {args.model} model needs {'-k' if matrix else '-X'}")
@@ -412,7 +445,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
         _write(args.out, _csv(["label", "count", "trials"],
                               ([label, table.counts[label], table.trials]
                                for label in sorted(table.counts))))
-    return EXIT_OK, _dump(doc)
+    return EXIT_OK, [_dump(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +453,16 @@ def _cmd_simulate(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_zeta(args) -> tuple[int, str]:
+def _cmd_zeta(args) -> tuple[int, list[str]]:
     if args.action == "print-local":
-        return EXIT_OK, local_factor(args.d).canonical_str() + "\n"
+        return EXIT_OK, [local_factor(args.d).canonical_str() + "\n"]
     if args.nu is None:
         raise DomainError("coeff needs --nu")
     if args.p is None:
         raise DomainError("coeff needs -p")
     nu = tuple(int(x) for x in args.nu.split(","))
     value = local_coefficient(args.d, args.p, nu)
-    return EXIT_OK, _dump(
-        {"d": args.d, "p": args.p, "nu": list(nu), "coefficient": value}
-    )
+    return EXIT_OK, [_dump({"d": args.d, "p": args.p, "nu": list(nu), "coefficient": value})]
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +536,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     seed = getattr(args, "seed", None)
     try:
-        code, output = args.handler(args)
+        if getattr(args, "out", None):
+            _check_out(args.out)
+        code, chunks = args.handler(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except (DomainError, CotypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    sys.stdout.write(output)
+    digest = hashlib.sha256()
+    for chunk in chunks:  # the one place that writes stdout
+        sys.stdout.write(chunk)
+        digest.update(chunk.encode())
     sys.stdout.flush()
     import resource  # here, not at the top: --version never needs it
     manifest = {
@@ -525,7 +561,7 @@ def main(argv=None) -> int:
         "caps": dict(sorted(CHECKED.items())),  # name -> [cost, limit]
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
-        "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
+        "output_sha256": digest.hexdigest(),
         # KB on Linux. The children are those this process has reaped: in a
         # CLI run, the trial workers of `simulate`. Inside a longer-lived host
         # both figures cover the host's whole life.

@@ -72,8 +72,9 @@ CAPS = {
     "hermite_table": 2 * 10**6,
     # The row tally's local tables build q-binomial rows of length d, and it
     # holds one to three cotypes of d entries per index below X: `tally -d 64
-    # -X 3` takes 0.1 s and `tally -d 3 -X 100000` 0.8 s. The same d * X bounds
-    # the sieve convolution of dirichlet_coefficients_upto.
+    # -X 3` takes 0.1 s, `tally -d 3 -X 100000` 1.6 s and 95 MB with its rows,
+    # and `-d 1 -X 300000` 2.3 s and 119 MB. The same d * X bounds the sieve
+    # convolution of dirichlet_coefficients_upto.
     "tally_rank": 64,
     "tally_size": 3 * 10**5,
     # Pollard rho steps of one factorize, counted as they are taken: about 1 s

@@ -4,9 +4,12 @@ import argparse
 import ast
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +98,59 @@ class TestTally:
         proc = run_cli("tally", "-d", "3", "-X", "100000", "--format", "csv", timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["N"] == sum(dirichlet_coefficients_upto(3, 100000))
+
+    @pytest.mark.parametrize("args, digest", [
+        ("-d 2 -X 10000", "231f3386f9dc78dc2080d63594ba7971d8c11614937f56a64122fb9128386e67"),
+        ("-d 3 -X 200", "a1ba35e2d4be4f505af56aad438a39ba3906f676bd4a9ec2a171b7b99aa7fd54"),
+        ("-d 1 -X 50", "7bd9267e19d681405f1993c2a0e4694e967a02fda72e620c240b02f2991640bd"),
+        ("-d 64 -X 3", "9da0ebc9a702f3b9a35c8217c57db070e7e5a6e78bde8b25e21ac8a4e226e1d4"),
+    ])
+    def test_stdout_is_pinned(self, args, digest):
+        # the rows are streamed from a template; these are the bytes json.dumps
+        # gave the whole document
+        proc = run_cli("tally", *args.split(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "5c25dfb73476a80c839d0ed5b44b60551db95ec9424773e676d428b3d3e72559"),
+        ("csv", "c099cffc4d5ddaf5cf4709b0583f9bbfe27734d169860c17768b428be5eeb6ea"),
+    ])
+    def test_many_row_out_file_is_pinned(self, fmt, digest, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("tally", "-d", "2", "-X", "10000", "--format", fmt,
+                       "--out", str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d, X", [(1, 1), (1, 2), (2, 2), (3, 2), (1, 50), (2, 30),
+                                      (3, 40), (5, 12), (64, 3), (2, 2500)])
+    @pytest.mark.parametrize("keys", [("N", "N_by_corank"), ("total", "n_by_corank")])
+    def test_streamed_rows_are_the_json_dumps_text(self, d, X, keys):
+        # X = 1 has no rows; (2, 2500) has 4,036 rows, five chunks of rows
+        tally = lattices.tally_cotypes(d, X)
+        total, by_corank = keys
+        rows = sorted(tally.counts.items(), key=lambda kv: (math.prod(kv[0]), kv[0]))
+        doc = {"d": d, "X": X, "bound": "index < X", total: tally.total,
+               by_corank: tally.n_by_corank(),
+               "rows": [{"alpha": list(alpha), "corank": lattices.corank(alpha),
+                         "index": math.prod(alpha), "count": c} for alpha, c in rows]}
+        text = "".join(cli._tally_doc(tally, rows=True, keys=keys))
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_rows_stream_in_bounded_memory(self, monkeypatch):
+        # tracemalloc's peak over the run: 23.65 MB when the whole document went
+        # through json.dumps, 5.84 MB with the rows streamed in chunks
+        monkeypatch.setattr(sys, "stdout", open(os.devnull, "w"))
+        monkeypatch.setattr(sys, "stderr", sys.stdout)
+        tracemalloc.start()
+        try:
+            assert cli.main(["tally", "-d", "2", "-X", "10000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.stdout.close()
+        assert peak < 12 * 10**6, peak
 
 
 class TestDensity:
@@ -302,6 +358,15 @@ def test_only_cli_encodes_and_writes_documents():
             if isinstance(node, ast.Call) and _writes(node, pipes):
                 offenders.append((path.name, node.lineno, "opens a file for writing"))
     assert {name for name, *_ in offenders} == {"cli.py"}, offenders
+    # and within cli, only main writes stdout: the handlers return their text
+    stray = [(top.name if hasattr(top, "name") else "module", node.lineno)
+             for top in ast.parse(Path(cli.__file__).read_text()).body
+             if getattr(top, "name", None) != "main"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__")
+             or isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+             and "file" not in {kw.arg for kw in node.keywords}]
+    assert not stray, stray
 
 
 def test_autorder_refuses_before_any_search(monkeypatch):
@@ -691,15 +756,38 @@ class TestManifestAndReproducibility:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_unwritable_out_is_refused_before_the_work(self, tmp_path):
+        # the tally alone takes over a second; the path is checked first
+        started = time.perf_counter()
+        proc = run_cli("tally", "-d", "3", "-X", "100000",
+                       "--out", str(tmp_path / "missing" / "x.json"), timeout=60)
+        assert time.perf_counter() - started < 1
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"error: cannot write --out {tmp_path}/missing/x.json: "
+                               "No such file or directory\n")
+
+    def test_out_that_is_a_directory_exits_1(self, tmp_path):
+        proc = run_cli("tally", "-d", "2", "-X", "10", "--out", str(tmp_path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+    def test_a_run_over_a_cap_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "x.json"
+        proc = run_cli("tally", "-d", "3", "-X", "1000000", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert not out.exists()
+
     def test_manifest_checksum_matches_output(self):
-        proc = run_cli("tally", "-d", "2", "-X", "20")
-        manifest = json.loads(proc.stderr.splitlines()[-1])
-        assert manifest["subcommand"] == "tally"
-        assert manifest["output_sha256"] == hashlib.sha256(
-            proc.stdout.encode()
-        ).hexdigest()
-        assert manifest["version"]
-        assert manifest["parameters"]["X"] == 20
+        # X = 10000 prints 16,298 rows in 17 chunks of rows
+        for X in (20, 10000):
+            proc = run_cli("tally", "-d", "2", "-X", str(X))
+            manifest = json.loads(proc.stderr.splitlines()[-1])
+            assert manifest["subcommand"] == "tally"
+            assert manifest["output_sha256"] == hashlib.sha256(
+                proc.stdout.encode()
+            ).hexdigest()
+            assert manifest["version"]
+            assert manifest["parameters"]["X"] == X
 
     def test_manifest_records_peak_rss(self):
         proc = run_cli("tally", "-d", "2", "-X", "20")
