@@ -379,9 +379,11 @@ def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = CAPS["e
     _check_max_matrices(max_matrices)
     total = len(indices)
     for n in indices:
-        total += _diagonal_count(d, n) - 1
+        diagonals = _diagonal_count(d, n)
+        total += diagonals - 1
         if total > max_matrices:
             break
+        check_cap("hermite_table", d * diagonals)  # hermite_diagonals' check, past its cache
         diags, offsets = hermite_diagonals(d, n)
         total += (sum(_basis_count(tuple(a for a in g if a > 1)) for g in diags)
                   if contracted else offsets[-1]) - len(diags)

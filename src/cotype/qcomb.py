@@ -39,12 +39,6 @@ class IntPolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("IntPolynomial is immutable")
 
-    @staticmethod
-    def monomial(coeff: int, exponent: int) -> "IntPolynomial":
-        if coeff == 0:
-            return ZERO
-        return IntPolynomial([0] * exponent + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -63,8 +57,6 @@ class IntPolynomial:
         raise AssertionError("unreachable")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPolynomial([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -73,30 +65,19 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial([other])
         return IntPolynomial(
             a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
-
-    __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(-c for c in self.coeffs)
 
     def __sub__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial([other])
         return IntPolynomial(
             a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
-    def __rsub__(self, other) -> "IntPolynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -108,20 +89,6 @@ class IntPolynomial:
                 for j, b in terms:
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise DomainError("negative powers leave Z[q]")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "IntPolynomial"):
         if other.is_zero():
@@ -155,8 +122,6 @@ class IntPolynomial:
 
     def shifted(self, k: int) -> "IntPolynomial":
         """Multiply by q**k."""
-        if self.is_zero():
-            return ZERO
         return IntPolynomial((0,) * k + self.coeffs)
 
     def __call__(self, x):
@@ -321,9 +286,6 @@ class DescentSet:
     def of(cls, d: int, elements: Iterable[int] = ()) -> "DescentSet":
         return cls(d, tuple(sorted(set(elements), reverse=True)))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def gaps(self) -> tuple[int, ...]:
         """Gap vector (m0,...,mk) with lambda_0 = d and lambda_{k+1} = 0; sums to d."""
         ext = (self.d,) + self.elements + (0,)
@@ -362,9 +324,6 @@ class Permutation:
     @property
     def d(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
 
 
 def descents(pi: Permutation) -> DescentSet:

@@ -73,8 +73,6 @@ class LocalFactor:
             s = str(poly)
             if not subset:
                 terms.append(s)
-            elif poly == ONE:
-                terms.append(tmon)
             elif " " in s or s.startswith("-"):
                 terms.append(f"({s})*{tmon}")
             else:
@@ -86,7 +84,6 @@ class LocalFactor:
         return f"{num_str} / {den_str}"
 
 
-@lru_cache(maxsize=None)
 def local_factor(d: int) -> LocalFactor:
     """Exact symbolic local factor for Z^d; numerator coefficients are the
     descent polynomials."""
@@ -190,9 +187,6 @@ _Ratio = tuple[IntPolynomial, IntPolynomial]
 @lru_cache(maxsize=None)
 def _durfee_sum(d: int, m: int) -> IntPolynomial:
     """sum_{i=0}^{m} [d choose i]_q q^(i^2) prod_{j=i+1}^{m} (1-q^j), by Horner."""
-    if not 1 <= m <= d:
-        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
-    check_cap("corank_dim", d)
     acc = ZERO
     for i in range(m + 1):
         acc = acc * one_minus_q_pow(i) + q_binomial(d, i).shifted(i * i)
@@ -202,17 +196,15 @@ def _durfee_sum(d: int, m: int) -> IntPolynomial:
 def _residue_factor(d: int, m: int) -> _Ratio:
     """(1-q) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j), over the
     denominator prod_{j<=m} (1-q^j), with 1-q cancelled."""
+    if not 1 <= m <= d:
+        raise DomainError(f"need 1 <= m <= d, got m={m}, d={d}")
+    check_cap("corank_dim", d)
     return _durfee_sum(d, m), q_pochhammer(2, m)
 
 
 def _density_factor(d: int, m: int) -> _Ratio:
     """prod_{j<=d} (1-q^j) sum_{i<=m} [d choose i]_q q^(i^2) / prod_{j<=i} (1-q^j)."""
-    return _durfee_sum(d, m) * q_pochhammer(m + 1, d), ONE
-
-
-def _cocyclic_factor(d: int) -> _Ratio:
-    """1 + q^2 (1 - q^(d-1)) / (1 - q)."""
-    return one_minus_q_pow(1) + one_minus_q_pow(d - 1).shifted(2), one_minus_q_pow(1)
+    return _residue_factor(d, m)[0] * q_pochhammer(m + 1, d), ONE
 
 
 def _squarefree_factor() -> _Ratio:
@@ -389,11 +381,15 @@ def cocyclic_growth_constant(d: int, prime_cutoff: int) -> EulerProductValue:
 
     prod_p (1 + (p^(d-1) - 1) / (p^(d+1) - p^d)).
 
-    Tail constant: |log local(p)| <= 1/(p(p-1)) <= 2 p^-2.
+    Cocyclic means corank at most 1, so the local factor is the m = 1 residue
+    numerator, 1 + q^2 + ... + q^d (the residue's denominator is 1 at m = 1),
+    with its own tail constant: |log local(p)| <= 1/(p(p-1)) <= 2 p^-2. It is
+    read from _durfee_sum, past _residue_factor's corank_dim cap, so that every
+    d >= 2 stays in its domain.
     """
     if d < 2:
         raise DomainError("the cocyclic growth constant needs d >= 2")
-    return _euler_product(_cocyclic_factor(d), prime_cutoff, tail_c=2.0, tail_e=2)
+    return _euler_product((_durfee_sum(d, 1), ONE), prime_cutoff, tail_c=2.0, tail_e=2)
 
 
 def squarefree_index_density(prime_cutoff: int) -> EulerProductValue:

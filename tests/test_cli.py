@@ -173,6 +173,14 @@ class TestDensity:
     def test_domain_error_exit(self):
         assert run_cli("density", "-d", "2", "-m", "3").returncode == 1
 
+    @pytest.mark.parametrize("d", [2, 5, 40])
+    def test_cocyclic_constant_is_the_m1_residue(self, d, capsys):
+        # one product; only the tail constants differ (C = 2 against C = 6)
+        assert cli.main(["density", "-d", str(d), "-m", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cocyclic_constant"]["value"] == doc["corank_zeta_residue"]["value"]
+        assert doc["cocyclic_constant"]["tail_bound"] < doc["corank_zeta_residue"]["tail_bound"]
+
 
 class TestVerify:
     def test_suites_pass(self):
@@ -320,6 +328,36 @@ def test_only_check_cap_raises_the_resource_error():
     raisers = [path.name for path in sorted(src.glob("*.py"))
                if "raise ResourceLimitError" in path.read_text()]
     assert raisers == ["errors.py"]
+
+
+def test_every_function_and_class_is_used():
+    """Every non-dunder function or class in src/cotype is named somewhere in
+    src/, tests/ or perfbench/ other than by its own definition: as a name, an
+    attribute or an exact string constant (as getattr and perfbench's public()
+    take it). It cannot see operator dunders, which operators reach without a
+    name. _Parser.error is exempt: argparse calls it from its own code."""
+    root = Path(cli.__file__).parents[2]
+    used = set()
+    for path in [p for top in ("src", "tests", "perfbench") for p in (root / top).rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+
+    def unused(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + node.name
+                if not node.name.startswith("__") and node.name not in used:
+                    yield name
+                yield from unused(node.body, name + ".")
+
+    dead = [f"{path.stem}.{name}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+            for name in unused(ast.parse(path.read_text()).body, "")]
+    assert [name for name in dead if name != "cli._Parser.error"] == []
 
 
 def _writes(call: ast.Call, pipes: set[str]) -> bool:
@@ -811,6 +849,19 @@ class TestManifestAndReproducibility:
         proc = run_cli(*args.split())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stderr.splitlines()[-1])["caps"] == caps
+
+    @pytest.mark.parametrize("args", [
+        "density -d 4 -m 1 --cutoff 1000",
+        "tally -d 3 -X 3 --method enumerate --max-matrices 8",
+        "zeta -d 2 print-local",
+        "verify autorder --max-order 64",
+    ])
+    def test_a_warm_process_checks_the_same_caps(self, args, capsys):
+        # a cap checked only on an lru_cache miss would be missing from a warm run
+        fresh = json.loads(run_cli(*args.split()).stderr.splitlines()[-1])["caps"]
+        for _ in range(2):
+            assert cli.main(args.split()) == 0
+            assert json.loads(capsys.readouterr().err.splitlines()[-1])["caps"] == fresh
 
     def test_manifest_records_seed(self):
         proc = run_cli("simulate", "matrix", "-d", "2", "-k", "10", "-p", "2",

@@ -277,6 +277,15 @@ class TestEulerProducts:
         vals = [zt.squarefree_index_density(c).value for c in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("d, value, tail_bound", [
+        (41, 1.943349504732098, 0.007788965564773506),
+        (400, 1.9433495047326874, 0.007788965564775868),
+    ])
+    def test_cocyclic_constant_has_no_corank_cap(self, d, value, tail_bound):
+        # d past the corank_dim cap, which bounds only the corank densities and residues
+        want = zt.EulerProductValue(value, 1000, tail_bound)
+        assert zt.cocyclic_growth_constant(d, 1000) == want
+
     def test_tail_bound_brackets_true_value(self):
         # richer cutoff must land inside the poorer cutoff's interval
         rough = zt.cocyclic_growth_constant(3, 500)
@@ -391,7 +400,7 @@ def _tail_cases():
             if m < d:  # at m = d the density factor is exactly 1
                 yield f"density d={d} m={m}", zt._density_factor(d, m), 15, (m + 1) ** 2, 2
         if d >= 2:
-            yield f"cocyclic d={d}", zt._cocyclic_factor(d), 2, 2, 2
+            yield f"cocyclic d={d}", zt._residue_factor(d, 1), 2, 2, 2
     # cutoff >= 2, so the squarefree tail starts at p = 3: at p = 2, |log| = 0.549
     yield "squarefree", zt._squarefree_factor(), 2, 2, 3
 
