@@ -530,6 +530,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _peak_rss_kb() -> tuple[int, str]:
+    """The run's peak RSS in KB (on Linux), and the figure it was read from.
+    VmHWM is the high-water mark of this address space, which exec starts
+    afresh; ru_maxrss, the fallback where there is no /proc, also carries that
+    of the process exec replaced, so of whoever started this one. Either is
+    raised to the largest reaped child's ru_maxrss: the trial workers of a
+    `simulate` run. A forked worker counts the pages it shares with this
+    process, so the two are not summed. Inside a longer-lived host both cover
+    the host's whole life."""
+    import resource  # here, not at the top: --version never needs it
+
+    try:
+        with open("/proc/self/status") as status:
+            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        source = "VmHWM"
+    except (OSError, StopIteration):
+        own, source = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "ru_maxrss"
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss), source
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     CHECKED.clear()
@@ -550,7 +570,7 @@ def main(argv=None) -> int:
         sys.stdout.write(chunk)
         digest.update(chunk.encode())
     sys.stdout.flush()
-    import resource  # here, not at the top: --version never needs it
+    peak_kb, peak_source = _peak_rss_kb()
     manifest = {
         "subcommand": args.command,
         "parameters": {
@@ -562,11 +582,8 @@ def main(argv=None) -> int:
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_sha256": digest.hexdigest(),
-        # KB on Linux. The children are those this process has reaped: in a
-        # CLI run, the trial workers of `simulate`. Inside a longer-lived host
-        # both figures cover the host's whole life.
-        "peak_rss_kb": max(resource.getrusage(who).ru_maxrss
-                           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)),
+        "peak_rss_kb": peak_kb,
+        "peak_rss_source": peak_source,
     }
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     return code

@@ -115,6 +115,11 @@ CAPS = {
     # d of the corank densities and residues: `density -d 40 -m 20` takes 1.1 s
     # and `-d 48 -m 24` 2.0 s, and `-d 150 -m 1` outgrows the int-to-str limit.
     "corank_dim": 40,
+    # d of cocyclic_growth_constant, whose local factor has degree d and is
+    # evaluated exactly at each small prime, about d^2 work: d = 10,000 takes
+    # 0.5-0.8 s at any cutoff, d = 20,000 2.8 s. `density` reaches it only at
+    # d <= corank_dim.
+    "cocyclic_dim": 10**4,
     # Prime cutoff of an Euler product, whose primes are held as a list: 10^7
     # takes 1.7 s and 128 MB, 3 * 10^7 327 MB.
     "prime_cutoff": 10**7,

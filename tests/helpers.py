@@ -1,18 +1,56 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles for the test suite, and its two ways to run the
+CLI: `run_cli` in this process, `run_process` in a fresh interpreter."""
 
 import hashlib
+import io
 import itertools
 import random
+import signal
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd, prod
 
 from mpmath import mp, mpf
 
+from cotype import cli
 from cotype.groups import conjugate
 from cotype.lattices import cotype_of, enumerate_hnf
 from cotype.primes import primes_upto, valuation
 from cotype.qcomb import ZERO
 from cotype.zeta import local_factor
+
+
+def run_cli(*args, timeout=None) -> subprocess.CompletedProcess:
+    """`cotype *args` in this process: cli.main with stdout and stderr captured
+    and argparse's SystemExit taken as the exit code. Past `timeout` seconds it
+    raises subprocess.TimeoutExpired at the next bytecode; forked workers do not
+    inherit the timer. Any other exception goes through, as its traceback would
+    end the process."""
+    argv, out, err = ["cotype", *args], io.StringIO(), io.StringIO()
+
+    def expire(signum, frame):
+        raise subprocess.TimeoutExpired(argv, timeout)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout or 0)  # 0: no timer
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*argv, timeout) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter, for the tests whose subject is the
+    process itself: its entry point, its imports, its exit status or memory."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def trial_rng(master_seed: int, trial: int) -> random.Random:

@@ -7,8 +7,8 @@ Every tolerance is pinned here, not configured elsewhere.
 import hashlib
 import json
 import math
-import subprocess
-import sys
+
+import pytest
 
 from cotype import cli
 from cotype import simulate as sim
@@ -24,7 +24,7 @@ from cotype.qcomb import (
     qbinom_telescope_holds,
 )
 
-from helpers import rank_mod_p, snf_oracle
+from helpers import rank_mod_p, run_cli, run_process, snf_oracle
 
 
 def report(num, description, ok, detail=""):
@@ -202,12 +202,13 @@ def test_criterion_09_containment_probability():
            True, f"worst error/bound = {worst:.3f}")
 
 
-def test_criterion_10_cli_reproducibility(monkeypatch, capsys):
+@pytest.mark.process
+def test_criterion_10_cli_reproducibility(monkeypatch):
     """Seeded CLI runs are byte-identical; verify failures exit 3 with evidence."""
-    args = [sys.executable, "-m", "cotype.cli", "simulate", "matrix", "-d", "2",
+    args = ["-m", "cotype.cli", "simulate", "matrix", "-d", "2",
             "-k", "50", "-p", "2", "-n", "400", "--seed", "31415"]
-    a = subprocess.run(args, capture_output=True, text=True)
-    b = subprocess.run(args, capture_output=True, text=True)
+    a = run_process(*args, timeout=60)
+    b = run_process(*args, timeout=60)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
     manifest = json.loads(a.stderr.splitlines()[-1])
@@ -218,8 +219,7 @@ def test_criterion_10_cli_reproducibility(monkeypatch, capsys):
         return [cli.CaseResult("rigged(n=1)", False, "intentional counterexample")]
 
     monkeypatch.setitem(cli.VERIFY_SUITES, "descent", rigged)
-    rc = cli.main(["verify", "descent"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "COUNTEREXAMPLE rigged(n=1): intentional counterexample" in captured.err
+    proc = run_cli("verify", "descent")
+    assert proc.returncode == 3
+    assert "COUNTEREXAMPLE rigged(n=1): intentional counterexample" in proc.stderr
     report(10, "byte-identical seeded CLI output; verify failure exits 3", True)

@@ -5,9 +5,7 @@ import ast
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,15 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cotype import cli, groups, lattices, primes, qcomb, simulate, zeta
 from cotype.errors import CAPS, CHECKED, ResourceLimitError, check_cap
 from cotype.zeta import dirichlet_coefficients_upto
-
-
-def run_cli(*args, timeout=None):
-    return subprocess.run(
-        [sys.executable, "-m", "cotype.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+from helpers import run_cli, run_process
 
 
 class TestTally:
@@ -138,18 +128,16 @@ class TestTally:
         text = "".join(cli._tally_doc(tally, rows=True, keys=keys))
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def test_rows_stream_in_bounded_memory(self, monkeypatch):
+    def test_rows_stream_in_bounded_memory(self):
         # tracemalloc's peak over the run: 23.65 MB when the whole document went
-        # through json.dumps, 5.84 MB with the rows streamed in chunks
-        monkeypatch.setattr(sys, "stdout", open(os.devnull, "w"))
-        monkeypatch.setattr(sys, "stderr", sys.stdout)
+        # through json.dumps, 5.84 MB with the rows streamed in chunks to
+        # /dev/null, 5.5-6.2 MB with its 2.0 MB captured
         tracemalloc.start()
         try:
-            assert cli.main(["tally", "-d", "2", "-X", "10000"]) == 0
+            assert run_cli("tally", "-d", "2", "-X", "10000").returncode == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            sys.stdout.close()
         assert peak < 12 * 10**6, peak
 
 
@@ -174,10 +162,11 @@ class TestDensity:
         assert run_cli("density", "-d", "2", "-m", "3").returncode == 1
 
     @pytest.mark.parametrize("d", [2, 5, 40])
-    def test_cocyclic_constant_is_the_m1_residue(self, d, capsys):
+    def test_cocyclic_constant_is_the_m1_residue(self, d):
         # one product; only the tail constants differ (C = 2 against C = 6)
-        assert cli.main(["density", "-d", str(d), "-m", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        proc = run_cli("density", "-d", str(d), "-m", "1")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
         assert doc["cocyclic_constant"]["value"] == doc["corank_zeta_residue"]["value"]
         assert doc["cocyclic_constant"]["tail_bound"] < doc["corank_zeta_residue"]["tail_bound"]
 
@@ -204,16 +193,15 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"]
 
-    def test_failure_exits_3_with_counterexample(self, monkeypatch, capsys):
+    def test_failure_exits_3_with_counterexample(self, monkeypatch):
         def rigged(args):
             return [cli.CaseResult("rigged-case q=1", False, "forced failure")]
 
         monkeypatch.setitem(cli.VERIFY_SUITES, "qident", rigged)
-        rc = cli.main(["verify", "qident"])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert "COUNTEREXAMPLE rigged-case q=1: forced failure" in captured.err
-        doc = json.loads(captured.out)
+        proc = run_cli("verify", "qident")
+        assert proc.returncode == 3
+        assert "COUNTEREXAMPLE rigged-case q=1: forced failure" in proc.stderr
+        doc = json.loads(proc.stdout)
         assert not doc["ok"]
         assert doc["failures"][0]["case"] == "rigged-case q=1"
 
@@ -297,6 +285,7 @@ LIBRARY_OVER_CAP = [
         groups.AbelianPGroupType.of(2, (1,) * 7), "brute_force"), 1),
     # splitting a 61-bit times a 59-bit prime needs about 2^29.5 steps
     ("rho_steps", lambda: primes.factorize((2**61 - 1) * (2**59 - 55)), 5),
+    ("cocyclic_dim", lambda: zeta.cocyclic_growth_constant(CAPS["cocyclic_dim"] + 1, 1000), 1),
 ]
 AT_CAP = [
     ("type_labels",
@@ -407,6 +396,34 @@ def test_only_cli_encodes_and_writes_documents():
     assert not stray, stray
 
 
+# what starts a process: subprocess or multiprocessing, the interpreter's path,
+# or a call of an os function that forks, spawns or execs
+_STARTS = re.compile(r"(subprocess|multiprocessing)(\..*)?|sys\.executable"
+                     r"|os\.(fork|forkpty|system|popen|spawn\w*|exec\w*|posix_spawnp?)")
+
+
+def test_only_helpers_starts_a_process():
+    # run_process is the one way a test starts an interpreter. An os function
+    # counts where it is called or imported: test_simulate's cpus fixture
+    # refers to os.fork only to count the forks of the library
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [ast.unparse(node.func)]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.executable":
+                names = ["sys.executable"]
+            else:
+                names = []
+            offenders += [(path.name, node.lineno, name) for name in names
+                          if _STARTS.fullmatch(name)]
+    assert {name for name, *_ in offenders} == {"helpers.py"}, offenders
+
+
 def test_autorder_refuses_before_any_search(monkeypatch):
     def searched(*args):
         raise AssertionError("a brute-force search ran")
@@ -440,7 +457,7 @@ def test_readme_table_lists_every_cap():
     "simulate matrix -d 2 -k 1 -p 3 -n 0 --exhaustive",
     "simulate sublattice -d 3 -X 50 -p 2 -n 20",
 ])
-def test_a_simulate_run_checks_each_cap_once(argv, monkeypatch, capsys):
+def test_a_simulate_run_checks_each_cap_once(argv, monkeypatch):
     calls = []
 
     def counted(name, cost, limit=None):
@@ -450,9 +467,10 @@ def test_a_simulate_run_checks_each_cap_once(argv, monkeypatch, capsys):
     for module in (cli, groups, lattices, primes, qcomb, simulate, zeta):
         if hasattr(module, "check_cap"):
             monkeypatch.setattr(module, "check_cap", counted)
-    assert cli.main(argv.split()) == 0
+    proc = run_cli(*argv.split())
+    assert proc.returncode == 0
     assert len(calls) == len(set(calls)), calls
-    manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+    manifest = json.loads(proc.stderr.splitlines()[-1])
     assert set(manifest["caps"]) == set(calls)
 
 
@@ -648,6 +666,7 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         assert json.loads(proc.stdout)["cases"] > 0, argv
 
 
+@pytest.mark.process
 def test_runs_without_mpmath():
     # mpmath is a test-only oracle: blocking its import must change no output
     script = "\n".join([
@@ -657,18 +676,35 @@ def test_runs_without_mpmath():
         "assert cli.main(['density', '-d', '30', '-m', '1']) == 0",
         "cli.main(['--version'])",
     ])
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_process("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     expected = run_cli("density", "-d", "30", "-m", "1", timeout=60).stdout
     assert proc.stdout == expected + run_cli("--version", timeout=60).stdout
 
 
+@pytest.mark.process
 def test_package_runs_as_a_module():
-    proc = subprocess.run([sys.executable, "-m", "cotype", "--version"],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_process("-m", "cotype", "--version", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli("--version", timeout=60).stdout
+
+
+# a verify suite rigged to fail, then the exit status of main as the shell sees it
+RIGGED = ("import sys\n"
+          "from cotype import cli\n"
+          "cli.VERIFY_SUITES['qident'] = lambda args: [cli.CaseResult('rigged', False, '')]\n"
+          "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.process
+@pytest.mark.parametrize("argv, code", [
+    (("-m", "cotype", "zeta", "-d", "2", "print-local"), 0),
+    (("-m", "cotype", "tally", "-d", "1"), 1),
+    (("-m", "cotype", "verify", "descent", "--d", "10"), 2),
+    (("-c", RIGGED, "verify", "qident"), 3),
+])
+def test_the_shell_sees_each_exit_code(argv, code):
+    assert run_process(*argv, timeout=60).returncode == code
 
 
 class TestZeta:
@@ -833,9 +869,33 @@ class TestManifestAndReproducibility:
         assert isinstance(manifest["peak_rss_kb"], int)
         assert manifest["peak_rss_kb"] > 0
 
+    def test_manifest_peak_falls_back_to_ru_maxrss(self, monkeypatch):
+        def no_proc(path, *args):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        proc = run_cli("tally", "-d", "1", "-X", "10")
+        manifest = json.loads(proc.stderr.splitlines()[-1])
+        assert manifest["peak_rss_source"] == "ru_maxrss" and manifest["peak_rss_kb"] > 0
+
+    @pytest.mark.process
+    def test_manifest_peak_is_the_run_not_its_spawner(self):
+        # a parent holding 120 MB, against one holding nothing, starts the same
+        # run. Through exec, ru_maxrss read 136,892 KB against 21,040 KB; VmHWM
+        # read within 184 KB of each other in four pairs (2-vCPU Xeon)
+        script = ("import subprocess, sys\n"
+                  "hold = b'x' * int(sys.argv[1])\n"
+                  "subprocess.run([sys.executable, '-m', 'cotype', 'tally', '-d', '1', '-X', '10'],"
+                  " check=True)\n")
+        small, large = (json.loads(run_process("-c", script, str(held), timeout=60)
+                                   .stderr.splitlines()[-1])["peak_rss_kb"]
+                        for held in (0, 120 << 20))
+        assert abs(large - small) < 2048, (small, large)
+
     @pytest.mark.parametrize("args, caps", [
         ("density -d 4 -m 1 --cutoff 1000",
-         {"corank_dim": [4, CAPS["corank_dim"]], "prime_cutoff": [1000, CAPS["prime_cutoff"]]}),
+         {"cocyclic_dim": [4, CAPS["cocyclic_dim"]], "corank_dim": [4, CAPS["corank_dim"]],
+          "prime_cutoff": [1000, CAPS["prime_cutoff"]]}),
         # --max-matrices lowers the limit it records; index 2 of Z^3 has 3 diagonals
         ("tally -d 3 -X 3 --method enumerate --max-matrices 8",
          {"enum_matrices": [8, 8], "hermite_table": [9, CAPS["hermite_table"]]}),
@@ -856,12 +916,13 @@ class TestManifestAndReproducibility:
         "zeta -d 2 print-local",
         "verify autorder --max-order 64",
     ])
-    def test_a_warm_process_checks_the_same_caps(self, args, capsys):
+    def test_a_warm_process_checks_the_same_caps(self, args):
         # a cap checked only on an lru_cache miss would be missing from a warm run
         fresh = json.loads(run_cli(*args.split()).stderr.splitlines()[-1])["caps"]
         for _ in range(2):
-            assert cli.main(args.split()) == 0
-            assert json.loads(capsys.readouterr().err.splitlines()[-1])["caps"] == fresh
+            proc = run_cli(*args.split())
+            assert proc.returncode == 0
+            assert json.loads(proc.stderr.splitlines()[-1])["caps"] == fresh
 
     def test_manifest_records_seed(self):
         proc = run_cli("simulate", "matrix", "-d", "2", "-k", "10", "-p", "2",

@@ -10,13 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cotype import cli
 from cotype import lattices as lat
 from cotype.errors import CAPS, DomainError, ResourceLimitError
 from cotype.zeta import corank_zeta_residue, dirichlet_coefficients_upto
 
 from helpers import (
-    det_by_elimination, det_by_permutations, rank_mod_p, snf_oracle, tally_by_full_enumeration)
+    det_by_elimination, det_by_permutations, rank_mod_p, run_cli, snf_oracle,
+    tally_by_full_enumeration)
 
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -444,15 +444,14 @@ class TestTally:
             with pytest.raises(DomainError):
                 lat.tally_cotypes(2, 10, method=method, max_matrices=-1)
 
-    def test_exports(self, tmp_path, capsys):
+    def test_exports(self, tmp_path):
         # the --out files that cli encodes from the tally's counts
         t = lat.tally_cotypes(2, 12)
         jpath = tmp_path / "t.json"
         cpath = tmp_path / "t.csv"
-        assert cli.main(["tally", "-d", "2", "-X", "12", "--out", str(jpath)]) == 0
-        assert cli.main(["tally", "-d", "2", "-X", "12", "--format", "csv",
-                         "--out", str(cpath)]) == 0
-        capsys.readouterr()
+        assert run_cli("tally", "-d", "2", "-X", "12", "--out", str(jpath)).returncode == 0
+        assert run_cli("tally", "-d", "2", "-X", "12", "--format", "csv",
+                       "--out", str(cpath)).returncode == 0
         doc = json.loads(jpath.read_text())
         assert doc["total"] == t.total
         assert doc["bound"] == "index < X"

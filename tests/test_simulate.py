@@ -7,8 +7,6 @@ import json
 import math
 import os
 import runpy
-import subprocess
-import sys
 import time
 from bisect import bisect_right
 from dataclasses import asdict
@@ -18,7 +16,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cotype import cli
 from cotype import simulate as sim
 from cotype import zeta as zt
 from cotype.errors import CAPS, DomainError, LabelMismatchError, ResourceLimitError
@@ -28,7 +25,7 @@ from cotype.lattices import (
     tally_cotypes)
 from cotype.workers import FORK_WORK_PER_PROCESS
 
-from helpers import rank_mod_p, snf_oracle, trial_rng
+from helpers import rank_mod_p, run_cli, snf_oracle, trial_rng
 
 
 @functools.cache
@@ -87,13 +84,14 @@ class TestConfig:
         assert doc["entry_bound"] == 100 and doc["index_bound"] is None
         assert doc["trials"] == 1000 and doc["master_seed"] == 7
 
-    def test_exhaustive_json_records_the_matrices_visited(self, capsys):
+    def test_exhaustive_json_records_the_matrices_visited(self):
         cfg = matrix_cfg(d=2, trials=0, entry_bound=1, exhaustive=True)
         assert cfg.matrices == sim.run_matrix_model(cfg).rank_table.trials == 81
         # the config that cli prints records them as its trials, and no seed
-        assert cli.main(["simulate", "matrix", "-d", "2", "-k", "1", "-p", "2",
-                         "-n", "0", "--seed", "7", "--exhaustive"]) == 0
-        doc = json.loads(capsys.readouterr().out)["config"]
+        proc = run_cli("simulate", "matrix", "-d", "2", "-k", "1", "-p", "2",
+                       "-n", "0", "--seed", "7", "--exhaustive")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)["config"]
         assert doc == dict(asdict(cfg), trials=81, master_seed=None)
 
 
@@ -295,7 +293,7 @@ class TestParallelTrials:
         return use
 
     @pytest.mark.parametrize("model", sorted(SPLIT_RUNS))
-    def test_tables_and_stdout_do_not_depend_on_the_cpu_count(self, model, cpus, capsys):
+    def test_tables_and_stdout_do_not_depend_on_the_cpu_count(self, model, cpus):
         flag, bound, kw = SPLIT_RUNS[model]
         cfg = sim.SampleConfig(d=6, trials=SPLIT_TRIALS, master_seed=3, p=2, **kw)
         argv = ["simulate", model, "-d", "6", flag, str(bound), "-p", "2",
@@ -307,9 +305,10 @@ class TestParallelTrials:
             res = run(cfg)
             assert len(forked) == n - 1
             tables.append((asdict(res.type_table), asdict(res.rank_table)))
-            assert cli.main(argv) == 0
+            proc = run_cli(*argv)
+            assert proc.returncode == 0
             assert len(forked) == 2 * (n - 1)
-            digests.add(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+            digests.add(hashlib.sha256(proc.stdout.encode()).hexdigest())
         assert tables[0] == tables[1] == tables[2] and len(digests) == 1
         assert res.type_table.counts.get(sim.FREE_LABEL, 0) > 0 or model == "sublattice"
 
@@ -405,22 +404,18 @@ class TestUniformSublattices:
             ((1, 0), (0, 4)), ((2, 0), (0, 2)), ((2, 1), (0, 2)),
             ((4, 0), (0, 1)), ((4, 1), (0, 1)), ((4, 2), (0, 1)), ((4, 3), (0, 1)),
         ]
-        proc = subprocess.run(
-            [sys.executable, "-m", "cotype.cli", "simulate", "sublattice", "-d", "3",
-             "-X", "300", "-p", "2", "-n", "3000", "--seed", "7"],
-            capture_output=True, timeout=120)
+        proc = run_cli("simulate", "sublattice", "-d", "3", "-X", "300", "-p", "2",
+                       "-n", "3000", "--seed", "7", timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == (
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "a5e114ae83ddf7e5f676787a74404a2f8963066c50b1b12e4d4a8b5731f8d8fb")
 
     def test_d4_run_is_pinned(self):
         # captured with the diagonal-table decode, its dimension cap lifted
-        proc = subprocess.run(
-            [sys.executable, "-m", "cotype.cli", "simulate", "sublattice", "-d", "4",
-             "-X", "200", "-p", "3", "-n", "2000", "--seed", "11"],
-            capture_output=True, timeout=120)
+        proc = run_cli("simulate", "sublattice", "-d", "4", "-X", "200", "-p", "3",
+                       "-n", "2000", "--seed", "11", timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == (
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "04cf606af8c7abd1b4d7925fabd7d620e58b7990a775ebbec7c113700198b6c9")
 
     @pytest.mark.parametrize("d, X", [(1, 30), (2, 30), (3, 13), (4, 13), (5, 9)])

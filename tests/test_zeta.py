@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, zeta as mp_zeta
 
-from cotype import cli
 from cotype import lattices as lat
 from cotype import zeta as zt
 from cotype.errors import CAPS, DomainError, NotWeaklyDecreasingError, ResourceLimitError
 from cotype.primes import primes_upto
 from cotype.qcomb import ONE, Q, q_binomial, value_at_inverse
-from helpers import euler_product_oracle, series_coefficient
+from helpers import euler_product_oracle, run_cli, series_coefficient
 
 
 class TestLocalFactor:
@@ -292,11 +291,12 @@ class TestEulerProducts:
         fine = zt.cocyclic_growth_constant(3, 10**5)
         assert abs(rough.value - fine.value) <= rough.tail_bound
 
-    def test_json_dict(self, capsys):
+    def test_json_dict(self):
         # cli prints each product as the fields of its EulerProductValue
         v = zt.corank_density(2, 1, 100)
-        assert cli.main(["density", "-d", "2", "-m", "1", "--cutoff", "100"]) == 0
-        doc = json.loads(capsys.readouterr().out)["corank_density"]
+        proc = run_cli("density", "-d", "2", "-m", "1", "--cutoff", "100")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)["corank_density"]
         assert doc == asdict(v) and set(doc) == {"value", "prime_cutoff", "tail_bound"}
 
     def test_domain_errors(self):
@@ -357,6 +357,14 @@ class TestEngineAgainstDirectProduct:
                     residue *= zt.corank_local_factor_at_pole(d, m, p)
                 assert zt.corank_density(d, m, 127).value == float(density)
                 assert zt.corank_zeta_residue(d, m, 127).value == float(residue)
+
+    def test_power_sums_over_several_blocks(self):
+        # 9,592 primes below 10^5, in three blocks: each sum is of the exact floors
+        ps = [p for p in primes_upto(10**5) if p > zt._DIRECT_UPTO]
+        assert len(ps) > 2 * zt._POWER_SUM_BLOCK
+        assert zt._power_sums(10**5) == (len(ps), tuple(
+            sum((1 << zt._FIXED_BITS) // p**k for p in ps) if k else 0
+            for k in range(zt._LOG_TERMS + 1)))
 
 
 class TestFixedExp:
