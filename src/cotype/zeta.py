@@ -42,11 +42,10 @@ from .qcomb import (
 # Euler products: the primes multiplied directly (up to a power of two, P0);
 # the fixed-point bits of every integer in the engine; the log-series order K,
 # past which p^-k < 2^-_FIXED_BITS for every p > P0, so that every fixed-point
-# power sum past K is exactly 0; and the primes per block of those sums.
+# power sum past K is exactly 0.
 _DIRECT_UPTO = 2**7
 _FIXED_BITS = 160
 _LOG_TERMS = _FIXED_BITS // (_DIRECT_UPTO.bit_length() - 1)
-_POWER_SUM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -294,19 +293,15 @@ def _reciprocal_root_bound(f: IntPolynomial) -> float:
 def _power_sums(cutoff: int) -> tuple[int, tuple[int, ...]]:
     """(N, S) over the N primes p in (_DIRECT_UPTO, cutoff]: S[k] is the sum of
     floor(2^_FIXED_BITS / p^k), each floor low by less than 1; past _LOG_TERMS
-    every floor is 0. The primes go through in blocks of _POWER_SUM_BLOCK, so
-    that one block's floors are held at a time: two lists of every prime's
-    take about 9 MB at cutoff 10^6."""
+    every floor is 0."""
     ps = [p for p in primes_upto(cutoff) if p > _DIRECT_UPTO]
     sums = [0] * (_LOG_TERMS + 1)
-    for start in range(0, len(ps), _POWER_SUM_BLOCK):
-        block = ps[start:start + _POWER_SUM_BLOCK]
-        xs = [1 << _FIXED_BITS] * len(block)
-        for k in range(1, _LOG_TERMS + 1):
-            xs = [x // p for x, p in zip(xs, block)]  # floor(floor(a/b)/c) = floor(a/(bc))
-            while xs and not xs[-1]:  # xs falls as p grows: its zeros are a suffix
-                xs.pop()
-            sums[k] += sum(xs)
+    xs = [1 << _FIXED_BITS] * len(ps)
+    for k in range(1, _LOG_TERMS + 1):
+        xs = [x // p for x, p in zip(xs, ps)]  # floor(floor(a/b)/c) = floor(a/(bc))
+        while xs and not xs[-1]:  # xs falls as p grows: its zeros are a suffix
+            xs.pop()
+        sums[k] = sum(xs)
     return len(ps), tuple(sums)
 
 

@@ -358,14 +358,6 @@ class TestEngineAgainstDirectProduct:
                 assert zt.corank_density(d, m, 127).value == float(density)
                 assert zt.corank_zeta_residue(d, m, 127).value == float(residue)
 
-    def test_power_sums_over_several_blocks(self):
-        # 9,592 primes below 10^5, in three blocks: each sum is of the exact floors
-        ps = [p for p in primes_upto(10**5) if p > zt._DIRECT_UPTO]
-        assert len(ps) > 2 * zt._POWER_SUM_BLOCK
-        assert zt._power_sums(10**5) == (len(ps), tuple(
-            sum((1 << zt._FIXED_BITS) // p**k for p in ps) if k else 0
-            for k in range(zt._LOG_TERMS + 1)))
-
 
 class TestFixedExp:
     HALF = 1 << (zt._FIXED_BITS - 1)
