@@ -120,8 +120,8 @@ CAPS = {
     # 0.5-0.8 s at any cutoff, d = 20,000 2.8 s. `density` reaches it only at
     # d <= corank_dim.
     "cocyclic_dim": 10**4,
-    # Prime cutoff of an Euler product, whose primes are held as a list: 10^7
-    # takes 1.7 s and 128 MB, 3 * 10^7 327 MB.
+    # Prime cutoff of an Euler product, whose primes are streamed in sieve
+    # blocks: 10^7 takes 0.8-0.9 s and 22 MB, the memory of 10^6.
     "prime_cutoff": 10**7,
 }
 

@@ -3,7 +3,7 @@ entry point."""
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -14,20 +14,32 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # factorize trial-divides up to this bound, so below its square (2^20) it
 # uses trial division alone; larger cofactors go to is_prime and Pollard rho.
 _TRIAL_BOUND = 1 << 10
+# The integers one block of prime_blocks sieves.
+_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=8)
 def primes_upto(n: int) -> tuple[int, ...]:
-    """All primes p <= n, by a byte sieve."""
-    if n < 2:
-        return ()
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return tuple(compress(range(n + 1), sieve))
+    """All primes p <= n."""
+    return tuple(chain.from_iterable(prime_blocks(1, n)))
+
+
+def prime_blocks(lo: int, hi: int) -> Iterator[list[int]]:
+    """The primes in (lo, hi], ascending, one list per _BLOCK integers: each
+    block is a byte sieve by the primes up to isqrt(hi)."""
+    root = isqrt(max(hi, 0))
+    base = list(chain.from_iterable(prime_blocks(1, root))) if root > 1 else []
+    lo = max(lo, 1)
+    while lo < hi:
+        top = min(lo + _BLOCK, hi)
+        sieve = bytearray(b"\x01") * (top - lo)  # sieve[i] stands for lo + 1 + i
+        for p in base:
+            if p * p > top:
+                break
+            start = max(p * p, (lo // p + 1) * p)
+            sieve[start - lo - 1 :: p] = bytes((top - start) // p + 1)
+        yield list(compress(range(lo + 1, top + 1), sieve))
+        lo = top
 
 
 def smallest_prime_factors(n: int) -> list[int]:

@@ -11,8 +11,10 @@ The four Euler products share one engine, fed each local factor as an exact
 ratio of polynomials in q = 1/p, on integers in 160-bit fixed point: the
 primes in (128, cutoff] enter as exp(sum_k c_k S_k), c_k the exact coefficients
 of log(local factor) and S_k = sum_p p^-k, and the primes p <= 128 as their
-exact local values. value is the truncated product, rounded once to float;
-tail_bound covers the missing primes and the engine's numeric error.
+exact local values. The S_k take the primes one sieve block at a time, so
+memory does not grow with the cutoff. value is the truncated product, rounded
+once to float; tail_bound covers the missing primes and the engine's numeric
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 from .errors import DomainError, NotWeaklyDecreasingError, check_cap, power_bits
 from .groups import Partition, ambient_subgroup_count, partitions_of
-from .primes import factorize, primes_upto, require_prime
+from .primes import factorize, prime_blocks, primes_upto, require_prime
 from .qcomb import (
     _POCHHAMMER_DEPTH,
     _pochhammer_tail,
@@ -294,15 +296,18 @@ def _power_sums(cutoff: int) -> tuple[int, tuple[int, ...]]:
     """(N, S) over the N primes p in (_DIRECT_UPTO, cutoff]: S[k] is the sum of
     floor(2^_FIXED_BITS / p^k), each floor low by less than 1; past _LOG_TERMS
     every floor is 0."""
-    ps = [p for p in primes_upto(cutoff) if p > _DIRECT_UPTO]
-    sums = [0] * (_LOG_TERMS + 1)
-    xs = [1 << _FIXED_BITS] * len(ps)
-    for k in range(1, _LOG_TERMS + 1):
-        xs = [x // p for x, p in zip(xs, ps)]  # floor(floor(a/b)/c) = floor(a/(bc))
-        while xs and not xs[-1]:  # xs falls as p grows: its zeros are a suffix
-            xs.pop()
-        sums[k] = sum(xs)
-    return len(ps), tuple(sums)
+    n, sums = 0, [0] * (_LOG_TERMS + 1)
+    for ps in prime_blocks(_DIRECT_UPTO, cutoff):
+        n += len(ps)
+        xs = [1 << _FIXED_BITS] * len(ps)
+        for k in range(1, _LOG_TERMS + 1):
+            xs = [x // p for x, p in zip(xs, ps)]  # floor(floor(a/b)/c) = floor(a/(bc))
+            while xs and not xs[-1]:  # xs falls as p grows: its zeros are a suffix
+                xs.pop()
+            if not xs:
+                break
+            sums[k] += sum(xs)
+    return n, tuple(sums)
 
 
 def _fixed_exp(x: int) -> tuple[int, int]:
@@ -326,14 +331,13 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
         raise DomainError("prime cutoff must be at least 2")
     check_cap("prime_cutoff", cutoff)
     num, den = factor
-    primes = primes_upto(cutoff)
+    direct = primes_upto(min(cutoff, _DIRECT_UPTO))
     n_series, sums = _power_sums(cutoff)
-    n_direct = len(primes) - n_series
     b = [x - y for x, y in zip(_log_series(num), _log_series(den))]
     log_sum = sum(Fraction(b[k] * sums[k], k) for k in range(1, len(b)))  # sums are 2^F S_k
     acc, err = _fixed_exp(math.floor(log_sum))
     low = acc - err
-    for p in primes[:n_direct]:
+    for p in direct:
         v = value_at_inverse(p, *factor)
         acc = acc * v.numerator // v.denominator
         low = min(low, acc)
@@ -350,7 +354,7 @@ def _euler_product(factor: _Ratio, cutoff: int, tail_c: float, tail_e: int,
     floors = n_series * sum(abs(b[k]) / k for k in range(1, K + 1)) * 2.0**-_FIXED_BITS
     # floors at 2^-F: exp's argument (2^-F), then err units of exp and a unit per
     # direct prime, each under 1 / low in log space; then the rounding to float
-    rounding = 2.0**-_FIXED_BITS + (err + n_direct) / low + 2.0**-53
+    rounding = 2.0**-_FIXED_BITS + (err + len(direct)) / low + 2.0**-53
     log_tail = (2.0 * tail_c * cutoff ** (1 - tail_e) / (tail_e - 1) + extra_log_tail
                 + truncation + floors + rounding)
     return EulerProductValue(value, cutoff, abs(value) * math.expm1(log_tail))

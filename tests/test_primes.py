@@ -2,13 +2,40 @@
 
 import random
 import time
-from math import prod
+from itertools import chain
+from math import isqrt, prod
 
 import pytest
 
 from cotype.errors import DomainError, ResourceLimitError
 from cotype.lattices import hnf_count
-from cotype.primes import factorize, is_prime, smallest_prime_factors, valuation
+from cotype.primes import (
+    _BLOCK,
+    factorize,
+    is_prime,
+    prime_blocks,
+    primes_upto,
+    smallest_prime_factors,
+    valuation,
+)
+
+
+def test_prime_blocks_against_primes_upto_and_trial_division():
+    top = 2 * _BLOCK + 130
+    trial = [n for n in range(2, top + 1) if all(n % f for f in range(2, isqrt(n) + 1))]
+    assert primes_upto(top) == tuple(trial)
+    for n in range(-2, 200):
+        assert primes_upto(n) == tuple(p for p in trial if p <= n), n
+    for lo in (1, 128):  # the ranges start at 2 and at 129
+        for edge in (_BLOCK, 2 * _BLOCK, lo + _BLOCK, lo + 2 * _BLOCK):
+            for hi in (edge - 1, edge, edge + 1):
+                blocks = list(prime_blocks(lo, hi))
+                assert list(chain.from_iterable(blocks)) == [p for p in trial if lo < p <= hi]
+                # block j holds the primes in (lo + j B, lo + (j + 1) B]
+                assert len(blocks) == -(-(hi - lo) // _BLOCK), (lo, hi)
+                for j, ps in enumerate(blocks):
+                    assert all(lo + j * _BLOCK < p <= lo + (j + 1) * _BLOCK for p in ps)
+    assert list(prime_blocks(100, 100)) == list(prime_blocks(100, 50)) == []
 
 
 def test_smallest_prime_factors_against_trial_division():

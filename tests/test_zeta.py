@@ -1,8 +1,11 @@
 """Tests for local factors, coefficient extraction, densities, and Euler products."""
 
+import gc
 import json
 import math
+import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from mpmath import mp, mpf, zeta as mp_zeta
 from cotype import lattices as lat
 from cotype import zeta as zt
 from cotype.errors import CAPS, DomainError, NotWeaklyDecreasingError, ResourceLimitError
-from cotype.primes import primes_upto
+from cotype.primes import _BLOCK, primes_upto
 from cotype.qcomb import ONE, Q, q_binomial, value_at_inverse
 from helpers import euler_product_oracle, run_cli, series_coefficient
 
@@ -357,6 +360,58 @@ class TestEngineAgainstDirectProduct:
                     residue *= zt.corank_local_factor_at_pole(d, m, p)
                 assert zt.corank_density(d, m, 127).value == float(density)
                 assert zt.corank_zeta_residue(d, m, 127).value == float(residue)
+
+
+def _one_list_power_sums(cutoff: int) -> tuple[int, tuple[int, ...]]:
+    """_power_sums(cutoff) from one list of every prime in (128, cutoff]."""
+    ps = [p for p in primes_upto(cutoff) if p > zt._DIRECT_UPTO]
+    return len(ps), (0,) + tuple(sum((1 << zt._FIXED_BITS) // p**k for p in ps)
+                                 for k in range(1, zt._LOG_TERMS + 1))
+
+
+def _four_products(cutoff: int) -> tuple[zt.EulerProductValue, ...]:
+    return (zt.corank_density(30, 1, cutoff), zt.corank_zeta_residue(5, 2, cutoff),
+            zt.cocyclic_growth_constant(7, cutoff), zt.squarefree_index_density(cutoff))
+
+
+def _held_lengths(cached) -> list[int]:
+    """Lengths of the tuples and lists within three references of an lru_cache:
+    its results, and what they hold."""
+    seen, frontier = [], gc.get_referents(cached)
+    for _ in range(3):
+        seen += frontier
+        frontier = [r for x in frontier if isinstance(x, (dict, tuple, list))
+                    or type(x).__name__ == "_lru_list_elem" for r in gc.get_referents(x)]
+    return [len(x) for x in seen if isinstance(x, (tuple, list))]
+
+
+class TestStreamedPrimes:
+    """The engine takes the primes past 128 one sieve block at a time."""
+
+    @pytest.mark.parametrize("cutoff", [2, 127, 128, 129, 131, _BLOCK + 128, _BLOCK + 129,
+                                        2 * _BLOCK + 200, 10**5])
+    def test_block_edges_change_no_sum_and_no_product(self, cutoff, monkeypatch):
+        one_list = _one_list_power_sums(cutoff)
+        assert zt._power_sums(cutoff) == one_list
+        streamed = _four_products(cutoff)
+        monkeypatch.setattr(zt, "_power_sums", lambda c: one_list)
+        assert streamed == _four_products(cutoff)  # value and tail_bound alike
+
+    def test_memory_does_not_grow_with_the_cutoff(self):
+        cutoff = 2 * 10**5  # 17,984 primes
+        caches = {f for name, module in list(sys.modules.items()) if name.startswith("cotype")
+                  for f in vars(module).values() if hasattr(f, "cache_info")}
+        for f in caches:
+            f.cache_clear()
+        tracemalloc.start()
+        try:
+            zt.corank_density(30, 1, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.55 MB streamed, against 2.86 MB with every prime held in one list
+        assert peak < 2**20, peak
+        assert max(n for f in caches for n in _held_lengths(f)) < 1000
 
 
 class TestFixedExp:
