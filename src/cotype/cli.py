@@ -5,9 +5,10 @@ deterministic document on stdout (JSON with sorted keys, or plain text where
 noted); `--out` writes a JSON or CSV file. This module encodes every document,
 and the library returns counts, tables and dataclasses. A run manifest
 (parameters, seed, the caps the run checked with their costs and limits,
-version, wall time, sha256 of the primary output, peak RSS) goes to stderr as
-one JSON line. Exit codes: 0 success, 1 bad arguments or domain errors, 2
-resource limit (a cap of `errors.CAPS`), 3 verification failure.
+version, wall time, sha256 of the primary output, peak RSS; for `simulate` also
+its work counters and its workers' peak RSS) goes to stderr as one JSON line.
+Exit codes: 0 success, 1 bad arguments or domain errors, 2 resource limit (a
+cap of `errors.CAPS`), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import (CAPS, CHECKED, CotypeError, DomainError, ResourceLimitError,
-                     check_cap, power_bits)
+                     check_cap, power_bits, vm_hwm_kb)
 from .groups import (
     AbelianPGroupType,
     aut_order,
@@ -397,7 +398,7 @@ def _theory_bits(d: int, p: int, exponent_cap: int) -> float:
     return power_bits(p, max(d * d, exponent_cap * d * d + d * (d + 1) // 2))
 
 
-def _cmd_simulate(args) -> tuple[int, list[str]]:
+def _cmd_simulate(args) -> tuple[int, list[str], dict]:
     matrix = args.model == "matrix"
     if (args.k if matrix else args.X) is None:
         raise DomainError(f"the {args.model} model needs {'-k' if matrix else '-X'}")
@@ -445,7 +446,8 @@ def _cmd_simulate(args) -> tuple[int, list[str]]:
         _write(args.out, _csv(["label", "count", "trials"],
                               ([label, table.counts[label], table.trials]
                                for label in sorted(table.counts))))
-    return EXIT_OK, [_dump(doc)]
+    return EXIT_OK, [_dump(doc)], {"counters": result.counters,
+                                   "worker_peak_rss_kb": result.worker_peak_rss_kb}
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +537,14 @@ def _peak_rss_kb() -> tuple[int, str]:
     VmHWM is the high-water mark of this address space, which exec starts
     afresh; ru_maxrss, the fallback where there is no /proc, also carries that
     of the process exec replaced, so of whoever started this one. Either is
-    raised to the largest reaped child's ru_maxrss: the trial workers of a
-    `simulate` run. A forked worker counts the pages it shares with this
-    process, so the two are not summed. Inside a longer-lived host both cover
-    the host's whole life."""
+    raised to the largest reaped child's ru_maxrss. A forked worker counts the
+    pages it shares with this process, so the two are not summed; `simulate`
+    also reports the workers' own VmHWM apart. Inside a longer-lived host both
+    cover the host's whole life."""
     import resource  # here, not at the top: --version never needs it
 
-    try:
-        with open("/proc/self/status") as status:
-            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-        source = "VmHWM"
-    except (OSError, StopIteration):
+    own, source = vm_hwm_kb(), "VmHWM"
+    if own is None:
         own, source = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "ru_maxrss"
     return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss), source
 
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None):
             _check_out(args.out)
-        code, chunks = args.handler(args)
+        code, chunks, *extra = args.handler(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
@@ -585,6 +584,7 @@ def main(argv=None) -> int:
         "peak_rss_kb": peak_kb,
         "peak_rss_source": peak_source,
     }
+    manifest.update(*extra)  # a handler's own fields: simulate's counters
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
     return code
 

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one table of resource
-caps (`CAPS`) with the one check that enforces them (`check_cap`)."""
+"""Exception types shared across the package, the one table of resource caps
+(`CAPS`) with the one check that enforces them (`check_cap`), and the one
+reader of a process's own peak RSS (`vm_hwm_kb`), for the run's manifest and
+its trial workers."""
 
 import math
 
@@ -63,10 +65,15 @@ CAPS = {
     # with a type cap of 61 (1,953 types) took 0.8 s, at d = 20 with a cap of 3
     # (1,771) 0.6 s, and at d = 20 with a cap of 4 (10,626) 2.7 s.
     "type_labels": 2000,
-    # Matrices an enumeration visits (tally --method enumerate, verify oracle,
+    # Hermite bases an enumeration visits (tally --method enumerate,
     # enumerate_hnf); max_matrices can lower it. Under it `tally -d 3 -X 520
     # --method enumerate` still runs for 46 s.
     "enum_matrices": 10**8,
+    # Contracted cores that verify oracle and tally_cotypes_at_index
+    # Smith-reduce, one Hermite basis of each diagonal's entries above 1: a
+    # 4 x 4 core takes 16-19 us, so `verify oracle --d 4 --p 2 --emax 8`
+    # (971,637 cores) takes 18 s and `--emax 9` (7,538,061) would take 2.5 min.
+    "contracted_cores": 10**6,
     # d * diagonals of one Hermite diagonal table, about 30 bytes an entry: 1.1
     # million took 0.4 s and 58 MB.
     "hermite_table": 2 * 10**6,
@@ -91,12 +98,14 @@ CAPS = {
     "matrix_dim": 20,
     # trials * max(d, 3)^3 of a sampled run of either model: a trial's Smith
     # form costs about 0.2 us * d^3 at k = 10^4, and below d = 3 the fixed cost
-    # of a trial takes over, 14-23 us. Split over both cores, runs at the cap
-    # took 2.0 s at d = 20, 1.9 s at d = 12 and 4.2-4.5 s at d = 2 and 3.
+    # of a trial takes over, about 10 us (7 us of it seeding). Split over both
+    # cores, matrix-model runs at the cap took 1.2 s at d = 20, 1.2-1.4 s at
+    # d = 12 and 2.9-3.7 s at d = 2 and 3.
     "trial_work": 15 * 10**6,
     # X of the sublattice model, held by the d X log X sieve of its rows: at
-    # X = 10^4 runs at the work cap took 1.1 s at d = 20, 1.6 s at d = 10 and
-    # 2.8 s at d = 6 on two cores, under 35 MB per process.
+    # X = 10^4 runs at the work cap took 0.8 s at d = 20, 0.6-0.9 s at d = 10,
+    # 1.1-1.2 s at d = 6 and 3.0-3.2 s at d = 3 on two cores, under 35 MB per
+    # process.
     "sublattice_index": 10**4,
     # Bits of the matrix model's entry bound k. A d = 20 Smith form takes
     # 0.9 ms at k = 10^4, 1.7 ms at 32 bits and 3.5 ms at 64 bits; at the work
@@ -128,6 +137,17 @@ CAPS = {
 # The caps checked since the record was last cleared: name -> [largest cost,
 # limit]. `cli.main` clears it on entry and prints it in the run's manifest.
 CHECKED: dict[str, list] = {}
+
+
+def vm_hwm_kb() -> int | None:
+    """This address space's peak RSS in KB, the VmHWM of /proc/self/status, or
+    None where there is none. exec starts it afresh; a forked worker starts it
+    at about its parent's RSS at the fork, the pages they share included."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
 
 
 def power_bits(p: int, e: int) -> float:

@@ -373,21 +373,24 @@ def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = CAPS["e
                      contracted: bool = False) -> int:
     """Number of matrices an enumeration of Z^d at the given indices visits:
     every Hermite basis, or with contracted, the bases of each diagonal's core
-    (_tally_index_enumerated); ResourceLimitError past max_matrices. Each index
-    is first refused on its number of diagonals, each visited at least once, so
-    that no large table is built."""
+    (_tally_index_enumerated); ResourceLimitError past max_matrices, or past
+    the contracted_cores cap for cores. Each index is first refused on its
+    number of diagonals, each visited at least once, so that no large table is
+    built."""
     _check_max_matrices(max_matrices)
+    cap = "contracted_cores" if contracted else "enum_matrices"
+    limit = min(max_matrices, CAPS[cap])
     total = len(indices)
     for n in indices:
         diagonals = _diagonal_count(d, n)
         total += diagonals - 1
-        if total > max_matrices:
+        if total > limit:
             break
         check_cap("hermite_table", d * diagonals)  # hermite_diagonals' check, past its cache
         diags, offsets = hermite_diagonals(d, n)
         total += (sum(_basis_count(tuple(a for a in g if a > 1)) for g in diags)
                   if contracted else offsets[-1]) - len(diags)
-    check_cap("enum_matrices", total, max_matrices)
+    check_cap(cap, total, max_matrices)
     return total
 
 
@@ -458,7 +461,7 @@ class CotypeTally:
 
 def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
     """Exact map cotype-tuple -> count over sublattices of index exactly n, by
-    the contracted enumeration (within the enum_matrices cap)."""
+    the contracted enumeration (within the contracted_cores cap)."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
     enumeration_size(d, [n], contracted=True)

@@ -5,9 +5,10 @@ takes its Smith form (`lattices.smith_normal_form`) and tallies the p-Sylow
 type and the p-rank of the cokernel. The matrix model draws entries uniform in
 [-k, k], or visits every such matrix in exhaustive mode; the sublattice model
 draws the Hermite basis of a uniformly random sublattice of index < X, exactly,
-without materializing the sublattice list. Empirical tables are compared
-against the exact predictions from `cotype.zeta` and `cotype.groups` with
-binomial z-score bands.
+without materializing the sublattice list. Its tally decodes and reduces only
+the draws whose index n has p^2 | n, since the index gives the others' p-part.
+Empirical tables are compared against the exact predictions from `cotype.zeta`
+and `cotype.groups` with binomial z-score bands.
 
 Reproducibility: trial t of a run with master seed s seeds MT19937 (the
 generator of `random.Random`) with the first 16 bytes of sha256(f"{s}:{t}"),
@@ -227,30 +228,31 @@ def _matrices(cfg: SampleConfig, trials: range | None = None,
               sampler: SublatticeSampler | None = None) -> Iterator[list[list[int]]]:
     """One integer matrix per trial: the Hermite basis of a uniform sublattice
     of index < X, or entries uniform in [-k, k], or in exhaustive mode every
-    matrix with entries in [-k, k], in order.
-
-    `trials` picks a contiguous range of the trials (in exhaustive mode, of the
-    matrices' positions), drawn with the `sampler` that the caller's
-    `_prepare(cfg)` returned. By default `_prepare(cfg)` runs here, before the
-    first draw, and every trial is drawn.
-
-    The draws are those of the module docstring's contract from one generator:
-    each trial reseeds it through the C seed under `random.Random.seed` (which
-    for an int adds only type checks), and each draw below w inlines
-    `Random._randbelow`: getrandbits(w.bit_length()) until the result is < w.
-    """
+    matrix with entries in [-k, k], in order. `trials` picks a contiguous range
+    of the trials (in exhaustive mode, of the matrices' positions), drawn with
+    the `sampler` of the caller's `_prepare(cfg)`; by default every trial,
+    with `_prepare(cfg)` run here."""
     if trials is None:
         sampler, trials = _prepare(cfg), range(cfg.matrices)
-    d, k = cfg.d, cfg.entry_bound
     if cfg.exhaustive:
+        d, k = cfg.d, cfg.entry_bound
         matrices = itertools.product(range(-k, k + 1), repeat=d * d)
-        for flat in itertools.islice(matrices, trials.start, trials.stop):
-            yield [list(flat[i * d : (i + 1) * d]) for i in range(d)]
-        return
-    if sampler is not None:
-        rows_at, w = sampler.rows_at, sampler.total
-    else:
-        w = 2 * k + 1
+        return ([list(flat[i * d : (i + 1) * d]) for i in range(d)]
+                for flat in itertools.islice(matrices, trials.start, trials.stop))
+    draws = _draws(cfg, trials, sampler)
+    return draws if sampler is None else map(sampler.rows_at, draws)
+
+
+def _draws(cfg: SampleConfig, trials: range,
+           sampler: SublatticeSampler | None) -> Iterator:
+    """Each trial's draw, as in `_matrices`, but the sublattice model's as its
+    code in [0, N_d(X)). The draws are those of the module docstring's contract
+    from one generator: each trial reseeds it through the C seed under
+    `random.Random.seed` (which for an int adds only type checks), and each
+    draw below w inlines `Random._randbelow`: getrandbits(w.bit_length()) until
+    the result is < w."""
+    d, k = cfg.d, cfg.entry_bound
+    w = 2 * k + 1 if sampler is None else sampler.total
     rng = random.Random()
     reseed, bits, b = super(random.Random, rng).seed, rng.getrandbits, w.bit_length()
     prefix = hashlib.sha256(f"{cfg.master_seed}:".encode())
@@ -263,7 +265,7 @@ def _matrices(cfg: SampleConfig, trials: range | None = None,
             r = bits(b)
             while r >= w:
                 r = bits(b)
-            yield rows_at(r)
+            yield r
             continue
         m = []
         for _ in rows:
@@ -294,11 +296,15 @@ def sample_cokernel_type(
 
 @dataclass
 class ModelResult:
-    """Tallies of one run of either model: p-Sylow types and p-ranks."""
+    """Tallies of one run of either model: p-Sylow types and p-ranks, with the
+    run's work (trials and Smith forms, summed over its processes) and the
+    largest peak RSS in KB that a forked worker reported (None if none did)."""
 
     config: SampleConfig
     type_table: EmpiricalTable
     rank_table: EmpiricalTable
+    counters: dict[str, int] = field(default_factory=dict)
+    worker_peak_rss_kb: int | None = None
 
     def rank_at_most_freq(self, m: int) -> Fraction:
         c = sum(
@@ -308,33 +314,51 @@ class ModelResult:
 
 
 def _count(cfg: SampleConfig, trials: range, sampler) -> tuple[Counter, Counter]:
-    """p-ranks and p-Sylow types (None for a singular draw) over a range of
-    trials. The p-rank is d minus the rank over F_p: the free rank plus the
-    number of invariant factors divisible by p."""
-    ranks: Counter = Counter()
-    types: Counter = Counter()
-    for sf, parts in sample_cokernel_type(cfg, trials, sampler):
-        ranks[sf.free_rank + len(parts)] += 1
-        types[None if sf.free_rank else parts] += 1
-    return ranks, types
+    """Trials by (free rank, p-Sylow type) over a range of trials, and the work
+    (trials and Smith forms). The p-Sylow subgroup of Z^d / Lambda has order
+    p^v, v the valuation of the index n, so it is Z/p^v when v <= 1: the
+    sublattice model finds n by the bisection of `rows_at`, and decodes and
+    reduces only the draws with v >= 2."""
+    p, seen = cfg.p, Counter()
+    if sampler is None:
+        for sf, parts in sample_cokernel_type(cfg, trials, sampler):
+            seen[sf.free_rank, parts] += 1
+        reduced = len(trials)
+    else:
+        cum, rows_at, reduced, p2 = sampler._cum, sampler.rows_at, 0, p * p
+        for code in _draws(cfg, trials, sampler):
+            n = bisect_right(cum, code)
+            if n % p2:
+                seen[0, () if n % p else (1,)] += 1
+            else:
+                sf = smith_normal_form(rows_at(code))
+                seen[sf.free_rank, p_part(sf.diag[::-1], p)] += 1
+                reduced += 1
+    return seen, Counter(trials=len(trials), smith_forms=reduced)
 
 
 def _tally(cfg: SampleConfig) -> ModelResult:
     """Tally the cokernels of every trial, labelled once at the end, over the
-    processes of `workers.processes` (one for an exhaustive run). A singular
-    draw's type is its free part."""
+    processes of `workers.processes` (one for an exhaustive run). The p-rank is
+    d minus the rank over F_p: the free rank plus the number of invariant
+    factors divisible by p. A singular draw's type is its free part."""
     from .workers import count_in_ranges, processes  # here: --version never needs them
 
     sampler = _prepare(cfg)
-    ranks, types = count_in_ranges(lambda trials: _count(cfg, trials, sampler),
-                                   cfg.matrices, 1 if cfg.exhaustive else processes(cfg.work))
-    n = sum(ranks.values())
-    type_counts = {FREE_LABEL if t is None else type_label(t): c for t, c in types.items()}
-    rank_counts = {rank_label(r): ranks[r] for r in range(cfg.d + 1)}
+    (seen, work), worker_kb = count_in_ranges(
+        lambda trials: _count(cfg, trials, sampler),
+        cfg.matrices, 1 if cfg.exhaustive else processes(cfg.work))
+    ranks, types = dict.fromkeys(map(rank_label, range(cfg.d + 1)), 0), Counter()
+    for (free_rank, parts), c in seen.items():
+        ranks[rank_label(free_rank + len(parts))] += c
+        types[FREE_LABEL if free_rank else type_label(parts)] += c
+    n = work["trials"]
     return ModelResult(
         config=cfg,
-        type_table=EmpiricalTable(type_counts, n),
-        rank_table=EmpiricalTable(rank_counts, n),
+        type_table=EmpiricalTable(dict(types), n),
+        rank_table=EmpiricalTable(ranks, n),
+        counters=dict(work),
+        worker_peak_rss_kb=worker_kb,
     )
 
 

@@ -3,11 +3,11 @@
 `processes(work)` says how many processes a run of that much work should take,
 and `count_in_ranges(count, n, procs)` cuts range(n) into `procs` contiguous
 ranges, forks a worker for each range but the first, runs `count` on the first
-range itself, and adds each worker's Counters, sent back through a pipe, in
-range order. So when `count` is a pure function of its range, the result is
-that of `count(range(n))` in one process. A worker that fails makes the call
-raise RuntimeError, and whatever happens every worker is reaped. With one
-process nothing is forked.
+range itself, and adds each worker's Counters, sent back through a pipe with
+the worker's peak RSS, in range order. So when `count` is a pure function of
+its range, the Counters are those of `count(range(n))` in one process. A
+worker that fails makes the call raise RuntimeError, and whatever happens every
+worker is reaped. With one process nothing is forked.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import sys
 import threading
 from collections import Counter
 from typing import Callable
+
+from .errors import vm_hwm_kb
 
 # A run takes one process per available core, but at most one per this many
 # units of work (`simulate`'s trials * max(d, 3)^3, the cost of its trial_work cap),
@@ -40,8 +42,8 @@ def processes(work: int) -> int:
 
 
 def _fork(count: Callable[[range], tuple[Counter, ...]], trials: range):
-    """Fork a worker that runs count(trials) and writes the Counters to a pipe;
-    return its pid and the pipe's read end."""
+    """Fork a worker that runs count(trials) and writes the Counters and its
+    peak RSS to a pipe; return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -54,7 +56,7 @@ def _fork(count: Callable[[range], tuple[Counter, ...]], trials: range):
         os.close(read_fd)
         counters = count(trials)
         with open(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps(tuple(map(dict, counters))))
+            pipe.write(marshal.dumps((tuple(map(dict, counters)), vm_hwm_kb())))
         status = 0
     except BaseException:
         import traceback  # here, like signal below: only a failure needs it
@@ -66,10 +68,12 @@ def _fork(count: Callable[[range], tuple[Counter, ...]], trials: range):
 
 
 def count_in_ranges(count: Callable[[range], tuple[Counter, ...]], n: int,
-                    procs: int) -> tuple[Counter, ...]:
-    """count(range(n)) computed over `procs` contiguous ranges, one per process."""
+                    procs: int) -> tuple[tuple[Counter, ...], int | None]:
+    """count(range(n)) computed over `procs` contiguous ranges, one per process,
+    and the largest peak RSS in KB that a worker reported (None if none did)."""
     ranges = [range(n * i // procs, n * (i + 1) // procs) for i in range(procs)]
     workers = {}  # pid -> (trials, read end) of each worker not yet reaped
+    peaks = []
     try:
         for trials in ranges[1:]:
             pid, pipe = _fork(count, trials)
@@ -84,9 +88,12 @@ def count_in_ranges(count: Callable[[range], tuple[Counter, ...]], n: int,
                 raise RuntimeError(
                     f"the worker for trials {trials.start}..{trials.stop - 1} failed"
                     f" (exit status {os.waitstatus_to_exitcode(status)})")
-            for total, part in zip(totals, marshal.loads(data)):
+            parts, peak = marshal.loads(data)
+            for total, part in zip(totals, parts):
                 total.update(part)
-        return totals
+            if peak is not None:
+                peaks.append(peak)
+        return totals, max(peaks, default=None)
     finally:
         if workers:
             import signal

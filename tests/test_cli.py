@@ -5,6 +5,7 @@ import ast
 import hashlib
 import json
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cotype import cli, groups, lattices, primes, qcomb, simulate, zeta
+from cotype import cli, errors, groups, lattices, primes, qcomb, simulate, zeta
 from cotype.errors import CAPS, CHECKED, ResourceLimitError, check_cap
 from cotype.zeta import dirichlet_coefficients_upto
 from helpers import run_cli, run_process
@@ -273,6 +274,10 @@ OVER_CAP = [
                           "--type-cap", str(10**400))),
     # F_2^7 has 11,811 subspaces of dimension 3, each tried with 127 vectors
     ("brute_joins", ("verify", "autorder", "--max-order", "128")),
+    # 7,538,061 contracted 4 x 4 cores up to 2^9, about 2.5 min of Smith forms,
+    # and 59,368,357 up to 2^10, about 19 min
+    ("contracted_cores", ("verify", "oracle", "--d", "4", "--p", "2", "--emax", "9")),
+    ("contracted_cores", ("verify", "oracle", "--d", "4", "--p", "2", "--emax", "10")),
 ]
 CAP_OF = {argv: name for name, argv in OVER_CAP}
 LIBRARY_OVER_CAP = [
@@ -873,10 +878,38 @@ class TestManifestAndReproducibility:
         def no_proc(path, *args):
             raise FileNotFoundError(path)
 
-        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        monkeypatch.setattr(errors, "open", no_proc, raising=False)
         proc = run_cli("tally", "-d", "1", "-X", "10")
         manifest = json.loads(proc.stderr.splitlines()[-1])
         assert manifest["peak_rss_source"] == "ru_maxrss" and manifest["peak_rss_kb"] > 0
+
+    @pytest.mark.parametrize("args, counters", [
+        # the lattice benchmark's sampler run: 18,487 of its 30,000 indices
+        # have v_2(n) <= 1 and skip the Smith form
+        ("simulate sublattice -d 3 -X 5000 -p 2 -n 30000 --seed 7",
+         {"trials": 30000, "smith_forms": 11513}),
+        ("simulate matrix -d 2 -k 10 -p 2 -n 500 --seed 7",
+         {"trials": 500, "smith_forms": 500}),
+        ("simulate matrix -d 2 -k 1 -p 3 --exhaustive", {"trials": 81, "smith_forms": 81}),
+    ])
+    def test_manifest_counts_the_trials_and_smith_forms(self, args, counters):
+        proc = run_cli(*args.split(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1])["counters"] == counters
+
+    def test_manifest_reports_the_workers_peak_apart(self, monkeypatch):
+        args = "simulate sublattice -d 3 -X 5000 -p 2 -n 30000 --seed 7".split()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        split = json.loads(run_cli(*args, timeout=60).stderr.splitlines()[-1])
+        peak = split["worker_peak_rss_kb"]
+        assert type(peak) is int and peak > 0
+        assert split["counters"] == {"trials": 30000, "smith_forms": 11513}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = json.loads(run_cli(*args, timeout=60).stderr.splitlines()[-1])
+        assert serial.get("worker_peak_rss_kb") is None
+        assert serial["counters"] == split["counters"]
+        tally = json.loads(run_cli("tally", "-d", "1", "-X", "10").stderr.splitlines()[-1])
+        assert "worker_peak_rss_kb" not in tally and "counters" not in tally
 
     @pytest.mark.process
     def test_manifest_peak_is_the_run_not_its_spawner(self):

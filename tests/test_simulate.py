@@ -9,6 +9,7 @@ import os
 import runpy
 import time
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from cotype.groups import AbelianPGroupType, partitions_of, rank_d_mass
 from cotype.lattices import (
     HermiteBasis, cotype_of, enumerate_hnf, hermite_diagonals, hermite_matrix, p_part,
     tally_cotypes)
+from cotype.primes import is_prime
 from cotype.workers import FORK_WORK_PER_PROCESS
 
 from helpers import rank_mod_p, run_cli, snf_oracle, trial_rng
@@ -343,6 +345,41 @@ class TestParallelTrials:
             parts = [m for a, b in zip(cuts, cuts[1:])
                      for m in sim._matrices(cfg, range(a, b), sampler)]
             assert parts == list(sim._matrices(cfg))
+
+
+class TestIndexShortcut:
+    """The sublattice model tallies the draws with v_p(n) <= 1 from their index."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(SEEDS, st.integers(1, 60), st.integers(1, 4), st.integers(2, 400),
+           st.sampled_from([2, 3, 5, None]))
+    @example(7, 50, 3, 5000, 2)
+    @example(7, 50, 1, 2, 2)
+    @example(7, 50, 1, 2, None)
+    def test_count_matches_the_smith_oracle(self, seed, trials, d, X, p):
+        # p = None draws a prime >= X, which divides no index: every draw skips
+        p = p or next(q for q in itertools.count(X) if is_prime(q))
+        cfg = sim.SampleConfig(d=d, trials=trials, master_seed=seed, p=p, index_bound=X)
+        seen, work = sim._count(cfg, range(trials), sim._prepare(cfg))
+        # the joint tally, which gives both the rank and the type tables
+        assert seen == Counter((sf.free_rank, parts) for sf, parts in sim.sample_cokernel_type(cfg))
+        assert work["trials"] == trials
+
+    @pytest.mark.parametrize("d, X, p", [(3, 5000, 2), (2, 300, 3), (4, 200, 2), (1, 50, 2)])
+    def test_smith_forms_only_where_p_squared_divides_the_index(self, d, X, p, monkeypatch):
+        cfg = sim.SampleConfig(d=d, trials=3000, master_seed=5, p=p, index_bound=X)
+        index_p2 = sum(math.prod(m[i][i] for i in range(d)) % (p * p) == 0
+                       for m in sim._matrices(cfg))
+        calls = []
+        smith = sim.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return smith(m)
+
+        monkeypatch.setattr(sim, "smith_normal_form", counting)
+        work = sim._count(cfg, range(cfg.trials), sim._prepare(cfg))[1]
+        assert len(calls) == work["smith_forms"] == index_p2 < cfg.trials
 
 
 class TestTvTrendInEntryBound:
