@@ -79,15 +79,14 @@ CAPS = {
     "hermite_table": 2 * 10**6,
     # The row tally's local tables build q-binomial rows of length d, and it
     # holds one to three cotypes of d entries per index below X: `tally -d 64
-    # -X 3` takes 0.1 s, `tally -d 3 -X 100000` 1.6 s and 95 MB with its rows,
-    # and `-d 1 -X 300000` 2.3 s and 119 MB. The same d * X bounds the sieve
-    # convolution of dirichlet_coefficients_upto.
+    # -X 3` takes 0.1 s, `-d 3 -X 100000` 1.6 s and 95 MB, `-d 1 -X 300000` 2.3 s
+    # and 119 MB, and 27 s and 114 MB by `--method enumerate`. The same d * X
+    # bounds the sieve convolution of dirichlet_coefficients_upto.
     "tally_rank": 64,
     "tally_size": 3 * 10**5,
-    # Pollard rho steps of one factorize, counted as they are taken: about 1 s
-    # at 2 us a step. Rho finds a prime factor p in about sqrt(p) steps, so
-    # every prime factor but the largest must stay below about 2^36.
-    "rho_steps": 2**19,
+    # Trial divisors of one factorize, counted as they are tried: refusing an n
+    # with two distinct prime factors past the cap takes 0.12-0.21 s.
+    "trial_divisors": 2**20,
     # Matrices of an exhaustive run, (2k+1)^(d^2): d = 2, k = 15 (923,521)
     # takes 3.0 s.
     "exhaustive_matrices": 10**6,

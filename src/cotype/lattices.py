@@ -323,9 +323,10 @@ def _basis_count(diag: tuple[int, ...]) -> int:
     return out
 
 
-# An enumeration reads each index's table twice. Under its matrix cap a tally
-# reaches at most 533 indices at d >= 3; at d = 2 (up to 11,026) the rebuilt
-# tables cost 0.28 s in all, against minutes of Smith forms.
+# An enumeration reads each index's table twice: past 1,024 indices it builds
+# each twice, with 5 factorize calls an index. Its caps admit at most 533
+# indices at d >= 3, 11,026 at d = 2 (0.28 s of rebuilt tables against minutes
+# of Smith forms) and 3 * 10^5 at d = 1, where the tables take most of the time.
 @lru_cache(maxsize=1 << 10)
 def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The Hermite diagonals (a_1,...,a_d) of index n in lexicographic order,
@@ -480,7 +481,6 @@ def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:
     """Cotype counts of index < X as products of the local tables of the prime
     powers of each index, factored by one smallest-prime-factor sieve."""
     check_cap("tally_rank", d)
-    check_cap("tally_size", d * X)
     spf = smallest_prime_factors(X - 1)
     counts: dict[tuple[int, ...], int] = {(1,) * d: 1} if X > 1 else {}
     for n in range(2, X):
@@ -508,17 +508,17 @@ def tally_cotypes(
     """Tally every sublattice of Z^d of index < X by cotype (exact).
 
     method 'auto' multiplies the local cotype tables of each index's prime
-    powers (within the caps tally_rank on d and tally_size on d * X). The oracle
-    'enumerate', independent of those formulas, contracts the Hermite rows with
-    diagonal 1 away, Smith-reduces the rest and visits at most max_matrices
-    matrices.
+    powers (within the cap tally_rank on d). The oracle 'enumerate', independent
+    of those formulas, contracts the Hermite rows with diagonal 1 away,
+    Smith-reduces the rest and visits at most max_matrices matrices. Both hold
+    d * X within the tally_size cap.
     """
     if d < 1 or X < 1:
         raise DomainError("need d >= 1 and X >= 1")
     if method not in TALLY_METHODS:
         raise DomainError(f"unknown tally method {method!r}")
     _check_max_matrices(max_matrices)
-
+    check_cap("tally_size", d * X)
     if method == "auto":
         counts = _tally_formula(d, X)
     else:

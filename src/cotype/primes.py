@@ -1,18 +1,16 @@
-"""Prime sieving helpers, p-adic valuation and the prime check shared by every
-entry point."""
+"""Prime sieving helpers, p-adic valuation, factorization by trial division
+and the prime check shared by every entry point."""
 
-from collections import Counter
 from functools import lru_cache
-from itertools import chain, compress, count
-from math import gcd, isqrt
+from itertools import chain, compress
+from math import isqrt
 from typing import Iterator
 
 from .errors import CAPS, DomainError, check_cap
 
 # Miller-Rabin bases that decide primality exactly below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# factorize trial-divides up to this bound, so below its square (2^20) it
-# uses trial division alone; larger cofactors go to is_prime and Pollard rho.
+# factorize tests for a prime's power only past this trial divisor.
 _TRIAL_BOUND = 1 << 10
 # The integers one block of prime_blocks sieves.
 _BLOCK = 1 << 15
@@ -63,35 +61,37 @@ def valuation(n: int, p: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """The prime powers (p, e) exactly dividing n >= 1, p ascending: trial
-    division up to the square root of the part not yet factored, or past
-    _TRIAL_BOUND, a split of that part into primes (_split_large) within the
-    Pollard rho steps of CAPS["rho_steps"], or ResourceLimitError."""
-    out, f = [], 2
+    """The prime powers (p, e) exactly dividing n >= 1, p ascending, by trial
+    division. Past the divisor _TRIAL_BOUND, and again after each factor found
+    past it, the part left is taken whole if it is a prime's power; a divisor
+    past CAPS["trial_divisors"] raises ResourceLimitError."""
+    if n < 1:
+        raise DomainError(f"factorize needs n >= 1, got {n}")
+    out, f, due = [], 2, _TRIAL_BOUND + 1  # due: the divisor of the next test or cap check
     while f * f <= n:
-        if f > _TRIAL_BOUND:
-            steps = iter(range(CAPS["rho_steps"]))
-            return out + sorted(Counter(_split_large(n, steps)).items())
+        if f == due:
+            if f > CAPS["trial_divisors"]:
+                check_cap("trial_divisors", f)
+            if power := _prime_power(n, f):
+                return out + [power]
+            due = CAPS["trial_divisors"] + 1
         if n % f == 0:
             e = valuation(n, f)
             n //= f**e
             out.append((f, e))
+            if f > _TRIAL_BOUND:
+                due = f + 1
         f += 1
     return out + [(n, 1)] if n > 1 else out
 
 
-def _split_large(n: int, steps: Iterator[int]) -> list[int]:
-    """The prime factors of n > 1, with multiplicity: a prime stays whole, a
-    perfect power splits into its root, anything else by Pollard-Brent rho,
-    each rho step taken from steps."""
-    if is_prime(n):
-        return [n]
-    for k in primes_upto(n.bit_length()):
-        root = _integer_root(n, k)
-        if root**k == n:
-            return _split_large(root, steps) * k
-    g = _pollard_brent(n, steps)
-    return _split_large(g, steps) + _split_large(n // g, steps)
+def _prime_power(n: int, low: int) -> tuple[int, int] | None:
+    """(p, k) with p prime and p^k = n, for n whose prime factors are all at
+    least low >= 2; None when n is no prime's power."""
+    for k in range(1, n.bit_length() // (low.bit_length() - 1) + 1):
+        if (root := _integer_root(n, k)) ** k == n and is_prime(root):
+            return root, k
+    return None
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -100,25 +100,6 @@ def _integer_root(n: int, k: int) -> int:
     while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = s
     return r
-
-
-def _pollard_brent(n: int, steps: Iterator[int]) -> int:
-    """A proper factor of the odd composite n, not a perfect power: Brent's
-    cycle search on y -> y^2 + c mod n, c = 1, 2, ... until one splits n;
-    ResourceLimitError once steps runs out."""
-    for c in count(1):
-        y, r, g = 2, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                if next(steps, None) is None:  # the step past the cap
-                    check_cap("rho_steps", CAPS["rho_steps"] + 1)
-                y = (y * y + c) % n
-                if (g := gcd(x - y, n)) > 1:
-                    break
-            r *= 2
-        if g != n:
-            return g
 
 
 def is_prime(n: int) -> bool:

@@ -1,4 +1,4 @@
-"""Tests for the sieves and the p-adic valuation."""
+"""Tests for the sieves, the p-adic valuation and factorize."""
 
 import random
 import time
@@ -71,14 +71,21 @@ def test_factorize_below_2_20_against_the_sieve():
         assert factorize(n) == sorted(expected.items()), n
 
 
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorize_domain(n):
+    with pytest.raises(DomainError):
+        factorize(n)
+
+
 @pytest.mark.parametrize("n", [
     2**61 - 1,
     (2**61 - 1) ** 2,
     2**10 * 3**4 * (2**61 - 1) ** 3,
-    (2**31 - 1) * (2**61 - 1),
     1000003 * 1000033,
     1031**5 * 1033,
-    4294967279 * 4294967291,
+    1048583**2,
+    1048573 * (2**61 - 1),
+    3 * (2**61 - 1) ** 2,
 ])
 def test_factorize_large_cofactors(n):
     start = time.perf_counter()
@@ -92,9 +99,10 @@ def test_factorize_large_cofactors(n):
 @pytest.mark.parametrize("count", [factorize, lambda n: hnf_count(2, n)],
                          ids=["factorize", "hnf_count"])
 def test_factorize_refuses_two_large_primes_promptly(count):
-    # splitting this product of a 61-bit and a 59-bit prime needs ~2^29.5 rho steps
-    n = (2**61 - 1) * (2**59 - 55)
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        count(n)
-    assert time.perf_counter() - start < 5
+    # two distinct primes past the 2^20 trial divisors: a 31-bit and a 61-bit,
+    # two 32-bit, and a 61-bit and a 59-bit
+    for n in [(2**31 - 1) * (2**61 - 1), 4294967279 * 4294967291, (2**61 - 1) * (2**59 - 55)]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="^trial_divisors cap exceeded"):
+            count(n)
+        assert time.perf_counter() - start < 1, n
