@@ -101,8 +101,6 @@ def _checked(convert, ok, need: str):
 
 _DIM = _checked(int, lambda v: v >= 1, ">= 1")
 _COUNT = _checked(int, lambda v: v >= 0, ">= 0")
-_MATRIX_CAP = _checked(int, lambda v: 0 <= v <= CAPS["enum_matrices"],
-                       f"in [0, {CAPS['enum_matrices']}]")
 _Z_THRESHOLD = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _PRIME = _checked(int, is_prime, "prime")
 
@@ -185,8 +183,7 @@ def _tally_text(head: str, rows, tail: str) -> Iterable[str]:
 
 
 def _cmd_tally(args) -> tuple[int, Iterable[str]]:
-    tally = tally_cotypes(args.d, args.X, method=args.method,
-                          max_matrices=args.max_matrices)
+    tally = tally_cotypes(args.d, args.X, method=args.method)
     if args.out and args.format == "csv":
         _write(args.out, itertools.chain(
             [f"# d={tally.d} X={tally.X} convention: index < X\n"],
@@ -287,8 +284,10 @@ def _suite_descent(args) -> list[CaseResult]:
 def _suite_oracle(args) -> list[CaseResult]:
     out = []
     d, p = args.d, args.p
-    # Refuse an over-cap total before the smaller indices spend their time.
-    enumeration_size(d, [p**e for e in range(args.emax + 1)], contracted=True)
+    # Refuse over-cap coefficients and work before the smaller indices spend
+    # their time; nu = (emax, 0, ..., 0) has the widest coefficient.
+    check_cap("coefficient_bits", d + power_bits(p, d * args.emax))
+    enumeration_size(d, (p**e for e in range(args.emax + 1)))
     for e in range(args.emax + 1):
         counts = tally_cotypes_at_index(d, p**e)
         for parts in partitions_of(e, max_parts=d):
@@ -487,7 +486,6 @@ def build_parser() -> _Parser:
     p_tally.add_argument("--format", choices=("json", "csv"), default="json")
     p_tally.add_argument("--out", default=None, help="write full rows to this path")
     p_tally.add_argument("--method", choices=TALLY_METHODS, default="auto")
-    p_tally.add_argument("--max-matrices", type=_MATRIX_CAP, default=CAPS["enum_matrices"])
     p_tally.set_defaults(handler=_cmd_tally)
 
     p_density = sub.add_parser("density", help="corank densities and residues")

@@ -65,23 +65,22 @@ CAPS = {
     # with a type cap of 61 (1,953 types) took 0.8 s, at d = 20 with a cap of 3
     # (1,771) 0.6 s, and at d = 20 with a cap of 4 (10,626) 2.7 s.
     "type_labels": 2000,
-    # Hermite bases an enumeration visits (tally --method enumerate,
-    # enumerate_hnf); max_matrices can lower it. Under it `tally -d 3 -X 520
-    # --method enumerate` still runs for 46 s.
-    "enum_matrices": 10**8,
-    # Contracted cores that verify oracle and tally_cotypes_at_index
-    # Smith-reduce, one Hermite basis of each diagonal's entries above 1: a
-    # 4 x 4 core takes 16-19 us, so `verify oracle --d 4 --p 2 --emax 8`
-    # (971,637 cores) takes 18 s and `--emax 9` (7,538,061) would take 2.5 min.
-    "contracted_cores": 10**6,
+    # Smith work of an enumeration (lattices.enumeration_size), 0.8-1.4 us a
+    # unit: 1 for a diagonal whose core has at most one row, and for each basis
+    # enumerate_hnf yields; 2 for each basis of a 2- or 3-row core (1.6-2.7 us),
+    # k^2 for one of k >= 4 rows (16-33 us at k = 4, 5, 164 us at k = 12). The
+    # last runs admitted, `tally -d 2 -X 1762 --method enumerate` to `-d 6
+    # -X 48` and `verify oracle --d 4 --p 2 --emax 7`, take 1.6-3.5 s.
+    "enum_work": 2 * 10**6,
     # d * diagonals of one Hermite diagonal table, about 30 bytes an entry: 1.1
     # million took 0.4 s and 58 MB.
     "hermite_table": 2 * 10**6,
     # The row tally's local tables build q-binomial rows of length d, and it
     # holds one to three cotypes of d entries per index below X: `tally -d 64
     # -X 3` takes 0.1 s, `-d 3 -X 100000` 1.6 s and 95 MB, `-d 1 -X 300000` 2.3 s
-    # and 119 MB, and 27 s and 114 MB by `--method enumerate`. The same d * X
-    # bounds the sieve convolution of dirichlet_coefficients_upto.
+    # and 119 MB, and 1.4-2.5 s and 109 MB by `--method enumerate`. tally_rank
+    # also bounds every enumeration's d, and d * X the sieve convolution of
+    # dirichlet_coefficients_upto.
     "tally_rank": 64,
     "tally_size": 3 * 10**5,
     # Trial divisors of one factorize, counted as they are tried: refusing an n

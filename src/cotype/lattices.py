@@ -323,10 +323,10 @@ def _basis_count(diag: tuple[int, ...]) -> int:
     return out
 
 
-# An enumeration reads each index's table twice: past 1,024 indices it builds
-# each twice, with 5 factorize calls an index. Its caps admit at most 533
-# indices at d >= 3, 11,026 at d = 2 (0.28 s of rebuilt tables against minutes
-# of Smith forms) and 3 * 10^5 at d = 1, where the tables take most of the time.
+# An enumeration reads each index's table twice, first to price it: past 1,024
+# indices it builds each twice. The enum_work cap admits at most 1,762 indices
+# at d >= 2, whose rebuilt tables take milliseconds against seconds of Smith
+# forms; at d = 1 a table is the index itself, built without factoring it.
 @lru_cache(maxsize=1 << 10)
 def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The Hermite diagonals (a_1,...,a_d) of index n in lexicographic order,
@@ -336,6 +336,8 @@ def hermite_diagonals(d: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tupl
     d * diagonals passes the hermite_table cap."""
     if d < 1 or n < 1:
         raise DomainError("need d >= 1 and n >= 1")
+    if d == 1:
+        return ((n,),), (0, 1)
     check_cap("hermite_table", d * _diagonal_count(d, n))
     divs = _divisors(n)
     # The diagonals of the last k rows for every index m | n, k growing to d.
@@ -370,40 +372,33 @@ def hnf_count(d: int, n: int) -> int:
     return hermite_diagonals(d, n)[1][-1]
 
 
-def enumeration_size(d: int, indices: Sequence[int], max_matrices: int = CAPS["enum_matrices"],
-                     contracted: bool = False) -> int:
-    """Number of matrices an enumeration of Z^d at the given indices visits:
-    every Hermite basis, or with contracted, the bases of each diagonal's core
-    (_tally_index_enumerated); ResourceLimitError past max_matrices, or past
-    the contracted_cores cap for cores. Each index is first refused on its
-    number of diagonals, each visited at least once, so that no large table is
-    built."""
-    _check_max_matrices(max_matrices)
-    cap = "contracted_cores" if contracted else "enum_matrices"
-    limit = min(max_matrices, CAPS[cap])
-    total = len(indices)
+def enumeration_size(d: int, indices: Iterable[int]) -> int:
+    """Smith work of the enumeration of Z^d at the given indices
+    (_tally_index_enumerated), in units of about 1 us: a diagonal whose core
+    (its entries above 1) has at most one row costs 1, and each basis of a k-row
+    core 2 at k = 2 or 3 (the closed form) and k^2 past that (the Bareiss
+    route). ResourceLimitError past the tally_rank cap on d, or past the
+    enum_work cap, checked after each index so that no later table is built."""
+    check_cap("tally_rank", d)
+    total = 0
     for n in indices:
-        diagonals = _diagonal_count(d, n)
-        total += diagonals - 1
-        if total > limit:
+        diags = hermite_diagonals(d, n)[0]
+        check_cap("hermite_table", d * len(diags))  # hermite_diagonals' check, past its cache
+        for diag in diags:
+            k = len(core := tuple(a for a in diag if a > 1))
+            total += 1 if k < 2 else _basis_count(core) * (2 if k < 4 else k * k)
+        if total > CAPS["enum_work"]:
             break
-        check_cap("hermite_table", d * diagonals)  # hermite_diagonals' check, past its cache
-        diags, offsets = hermite_diagonals(d, n)
-        total += (sum(_basis_count(tuple(a for a in g if a > 1)) for g in diags)
-                  if contracted else offsets[-1]) - len(diags)
-    check_cap(cap, total, max_matrices)
+    check_cap("enum_work", total)
     return total
 
 
-def enumerate_hnf(
-    d: int, n: int, max_matrices: int = CAPS["enum_matrices"]
-) -> Iterator[HermiteBasis]:
+def enumerate_hnf(d: int, n: int) -> Iterator[HermiteBasis]:
     """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis,
-    in the order of hermite_diagonals and then of codes."""
-    if d < 1 or n < 1:
-        raise DomainError("need d >= 1 and n >= 1")
-    enumeration_size(d, [n], max_matrices)
+    in the order of hermite_diagonals and then of codes; its hnf_count, a unit
+    a basis, is held to the enum_work cap."""
     diags, offsets = hermite_diagonals(d, n)
+    check_cap("enum_work", offsets[-1])
     for diag, lo, hi in zip(diags, offsets, offsets[1:]):
         for code in range(hi - lo):
             yield HermiteBasis(hermite_matrix(diag, code))
@@ -462,19 +457,11 @@ class CotypeTally:
 
 def tally_cotypes_at_index(d: int, n: int) -> dict[tuple[int, ...], int]:
     """Exact map cotype-tuple -> count over sublattices of index exactly n, by
-    the contracted enumeration (within the contracted_cores cap)."""
-    if d < 1 or n < 1:
-        raise DomainError("need d >= 1 and n >= 1")
-    enumeration_size(d, [n], contracted=True)
+    the contracted enumeration (within the enum_work cap)."""
+    enumeration_size(d, [n])
     counts: dict[tuple[int, ...], int] = {}
     _tally_index_enumerated(d, n, counts)
     return counts
-
-
-def _check_max_matrices(max_matrices: int) -> None:
-    if not 0 <= max_matrices <= CAPS["enum_matrices"]:
-        raise DomainError(
-            f"the matrix cap must be in [0, {CAPS['enum_matrices']}], got {max_matrices}")
 
 
 def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:
@@ -499,30 +486,24 @@ def _tally_formula(d: int, X: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def tally_cotypes(
-    d: int,
-    X: int,
-    method: str = "auto",
-    max_matrices: int = CAPS["enum_matrices"],
-) -> CotypeTally:
+def tally_cotypes(d: int, X: int, method: str = "auto") -> CotypeTally:
     """Tally every sublattice of Z^d of index < X by cotype (exact).
 
     method 'auto' multiplies the local cotype tables of each index's prime
-    powers (within the cap tally_rank on d). The oracle 'enumerate', independent
-    of those formulas, contracts the Hermite rows with diagonal 1 away,
-    Smith-reduces the rest and visits at most max_matrices matrices. Both hold
-    d * X within the tally_size cap.
+    powers. The oracle 'enumerate', independent of those formulas, contracts
+    the Hermite rows with diagonal 1 away and Smith-reduces the rest, within
+    the enum_work cap on that Smith work. Both hold d within the tally_rank cap
+    and d * X within the tally_size cap.
     """
     if d < 1 or X < 1:
         raise DomainError("need d >= 1 and X >= 1")
     if method not in TALLY_METHODS:
         raise DomainError(f"unknown tally method {method!r}")
-    _check_max_matrices(max_matrices)
     check_cap("tally_size", d * X)
     if method == "auto":
         counts = _tally_formula(d, X)
     else:
-        enumeration_size(d, range(1, X), max_matrices)
+        enumeration_size(d, range(1, X))
         counts = {}
         for n in range(1, X):
             _tally_index_enumerated(d, n, counts)

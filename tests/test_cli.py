@@ -50,22 +50,16 @@ class TestTally:
         )
 
     def test_resource_limit_exit_code(self):
-        proc = run_cli("tally", "-d", "3", "-X", "100", "--method", "enumerate",
-                       "--max-matrices", "10")
+        proc = run_cli("tally", "-d", "3", "-X", "281", "--method", "enumerate", timeout=20)
         assert proc.returncode == 2
         assert "resource limit" in proc.stderr
-
-    def test_cap_above_the_default_exits_1_at_parse_time(self):
-        proc = run_cli("tally", "-d", "3", "-X", "2000", "--method", "enumerate",
-                       "--max-matrices", "10000000000", timeout=20)
-        assert proc.returncode == 1, proc.stderr
-        assert "--max-matrices" in proc.stderr
 
     def test_bad_arguments_exit_code(self):
         assert run_cli("tally", "-d", "1").returncode == 1
         assert run_cli("tally", "-d", "0", "-X", "5").returncode == 1
         assert run_cli("nonsense").returncode == 1
 
+    # no flag sets the enumeration's cap: --max-matrices is an unknown argument
     @pytest.mark.parametrize("args", [
         ("--max-matrices", "-1"),
         ("--method", "enumerate", "--max-matrices", "-1"),
@@ -189,8 +183,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra", [("--p", "3"), ("--d", "8")])
     def test_oracle_under_the_cap_runs(self, extra):
-        # the cap counts the contracted cores, not every Hermite basis: at
-        # (d, p, emax) = (6, 3, 4) and (8, 2, 4) n^(d-1) passes 10^8
+        # the cap prices the Smith work of the contracted cores, not every
+        # Hermite basis: at (d, p, emax) = (6, 3, 4) and (8, 2, 4) n^(d-1)
+        # passes 10^8
         proc = run_cli("verify", "oracle", *extra, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"]
@@ -247,11 +242,10 @@ OVER_CAP = [
     ("zidentity_dim", ("verify", "zidentity", "--d", str(CAPS["zidentity_dim"] + 1))),
     ("permutation_dim", ("verify", "descent", "--d", str(CAPS["permutation_dim"] + 1))),
     ("local_factor_dim", ("zeta", "-d", str(CAPS["local_factor_dim"] + 1), "print-local")),
-    # Z^3 has 100,635,487 Hermite bases of index below 535, 99,906,486 below 534
-    ("enum_matrices", ("tally", "-d", "3", "-X", "535", "--method", "enumerate")),
-    # --max-matrices lowers the cap: Z^3 has 1 + 7 sublattices of index below 3
-    ("enum_matrices", ("tally", "-d", "3", "-X", "3", "--method", "enumerate",
-                       "--max-matrices", "7")),
+    # the enumerations of Z^3 below 281 and of Z^2 below 1763 cost 2,021,008 and
+    # 2,001,263 units of Smith work, those below 280 and 1762 are admitted
+    ("enum_work", ("tally", "-d", "3", "-X", "281", "--method", "enumerate")),
+    ("enum_work", ("tally", "-d", "2", "-X", "1763", "--method", "enumerate")),
     # index 8 of Z^60 has C(62, 3) = 37,820 Hermite diagonals
     ("hermite_table", ("verify", "oracle", "--d", "60", "--p", "2", "--emax", "3")),
     ("tally_rank", ("tally", "-d", str(CAPS["tally_rank"] + 1), "-X", "2")),
@@ -275,13 +269,19 @@ OVER_CAP = [
                           "--type-cap", str(10**400))),
     # F_2^7 has 11,811 subspaces of dimension 3, each tried with 127 vectors
     ("brute_joins", ("verify", "autorder", "--max-order", "128")),
-    # 7,538,061 contracted 4 x 4 cores up to 2^9, about 2.5 min of Smith forms,
-    # and 59,368,357 up to 2^10, about 19 min
-    ("contracted_cores", ("verify", "oracle", "--d", "4", "--p", "2", "--emax", "9")),
-    ("contracted_cores", ("verify", "oracle", "--d", "4", "--p", "2", "--emax", "10")),
+    # 13,929,033 units of Smith work up to 2^8 in Z^4 (1,660,829 up to 2^7), and
+    # 2,621,961 up to 2^5 in Z^8
+    ("enum_work", ("verify", "oracle", "--d", "4", "--p", "2", "--emax", "8")),
+    ("enum_work", ("verify", "oracle", "--d", "8", "--p", "2", "--emax", "5")),
     # the enumeration's rows too: at d = 1 it took 27 s and 114 MB at the cap
     ("tally_size", ("tally", "-d", "1", "-X", str(CAPS["tally_size"] + 1),
                     "--method", "enumerate")),
+    # the enumeration's d too, before any table: that of index 1 in Z^150000
+    # takes O(d^2) to build
+    ("tally_rank", ("tally", "-d", "150000", "-X", "2", "--method", "enumerate")),
+    # index 2^e of Z^1 costs one unit of work; its coefficient passes 14,000
+    # bits at e = 14,000, so no power of 2 is built
+    ("coefficient_bits", ("verify", "oracle", "--d", "1", "--p", "2", "--emax", str(10**6))),
 ]
 CAP_OF = {argv: name for name, argv in OVER_CAP}
 LIBRARY_OVER_CAP = [
@@ -308,8 +308,8 @@ AT_CAP = [
     ("zidentity_dim", ("verify", "zidentity", "--d", str(CAPS["zidentity_dim"]))),
     ("local_factor_dim", ("zeta", "-d", str(CAPS["local_factor_dim"]), "print-local")),
     ("tally_rank", ("tally", "-d", str(CAPS["tally_rank"]), "-X", "3")),
-    ("enum_matrices", ("tally", "-d", "3", "-X", "3", "--method", "enumerate",
-                       "--max-matrices", "8")),
+    # 414,711 units of Smith work; --emax 6 is refused
+    ("enum_work", ("verify", "oracle", "--d", "6", "--p", "2", "--emax", "5")),
     ("sublattice_index", ("simulate", "sublattice", "-d", str(CAPS["matrix_dim"]),
                           "-X", str(CAPS["sublattice_index"]), "-p", "2", "-n", "10")),
     ("entry_bits", ("simulate", "matrix", "-d", str(CAPS["matrix_dim"]),
@@ -504,9 +504,12 @@ class TestInputContracts:
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
 
-    @pytest.mark.parametrize("d, emax", [("3", "14"), ("60", "40")])
+    # d = 60000 spent 8 s building its table of index 1, d = 1000 3 s on its
+    # tables up to index 4, before a cap refused them
+    @pytest.mark.parametrize("d, emax", [("3", "14"), ("60", "40"), ("60000", "0"),
+                                         ("1000", "2")])
     def test_oracle_cap_exits_2_promptly(self, d, emax):
-        proc = run_cli("verify", "oracle", "--d", d, "--p", "2", "--emax", emax, timeout=20)
+        proc = run_cli("verify", "oracle", "--d", d, "--p", "2", "--emax", emax, timeout=2)
         assert proc.returncode == 2, proc.stderr
         assert "resource limit" in proc.stderr
 
@@ -644,7 +647,7 @@ def _command(head, *pairs):
 ARGVS = st.one_of(
     _command(st.just(["tally"]), ("-d", SMALL), ("-X", st.integers(-2, 40)),
              ("--method", st.sampled_from(["auto", "enumerate", "full"])),
-             ("--max-matrices", st.integers(-1, 50)), ("--format", st.just("csv"))),
+             ("--format", st.just("csv"))),
     _command(st.just(["density"]), ("-d", SMALL), ("-m", SMALL),
              ("--cutoff", st.integers(-2, 200))),
     _command(st.sampled_from(["qident", "descent", "oracle", "autorder", "zidentity",
@@ -933,10 +936,10 @@ class TestManifestAndReproducibility:
         ("density -d 4 -m 1 --cutoff 1000",
          {"cocyclic_dim": [4, CAPS["cocyclic_dim"]], "corank_dim": [4, CAPS["corank_dim"]],
           "prime_cutoff": [1000, CAPS["prime_cutoff"]]}),
-        # --max-matrices lowers the limit it records; index 2 of Z^3 has 3 diagonals
-        ("tally -d 3 -X 3 --method enumerate --max-matrices 8",
-         {"enum_matrices": [8, 8], "hermite_table": [9, CAPS["hermite_table"]],
-          "tally_size": [9, CAPS["tally_size"]]}),
+        # index 2 of Z^3 has 3 diagonals, each with a one-row core
+        ("tally -d 3 -X 3 --method enumerate",
+         {"enum_work": [4, CAPS["enum_work"]], "hermite_table": [9, CAPS["hermite_table"]],
+          "tally_rank": [3, CAPS["tally_rank"]], "tally_size": [9, CAPS["tally_size"]]}),
         ("zeta -d 2 print-local", {"local_factor_dim": [2, CAPS["local_factor_dim"]],
                                    "descent_table_dim": [2, CAPS["descent_table_dim"]]}),
         # 1,395 subspaces of dimension 3 in F_2^6, each tried with 63 vectors
@@ -950,7 +953,7 @@ class TestManifestAndReproducibility:
 
     @pytest.mark.parametrize("args", [
         "density -d 4 -m 1 --cutoff 1000",
-        "tally -d 3 -X 3 --method enumerate --max-matrices 8",
+        "tally -d 3 -X 3 --method enumerate",
         "zeta -d 2 print-local",
         "verify autorder --max-order 64",
     ])

@@ -70,33 +70,68 @@ class TestEnumeration:
             assert len(seen) == lat.hnf_count(d, n)
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
-            list(lat.enumerate_hnf(3, 64, max_matrices=10))
+        # Z^3 has 2,794,155 sublattices of index 2^10, a unit of work each
+        with pytest.raises(ResourceLimitError, match="^enum_work cap exceeded"):
+            next(lat.enumerate_hnf(3, 2**10))
+        assert lat.hnf_count(3, 2**9) <= CAPS["enum_work"]
 
     def test_cap_refuses_before_counting(self):
-        # each index is refused on its number of diagonals before its table is built
+        # each table is refused on its number of diagonals before it is built
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError):
-            list(lat.enumerate_hnf(60, 2**40, max_matrices=10))
+            list(lat.enumerate_hnf(60, 2**40))
         with pytest.raises(ResourceLimitError):  # about 3.6 * 10^8 contracted cores
             lat.tally_cotypes_at_index(3, 2**15)
         with pytest.raises(ResourceLimitError):
             lat.tally_cotypes_at_index(60, 2**40)
         with pytest.raises(ResourceLimitError):
             lat.hermite_diagonals(250, 4)
+        with pytest.raises(ResourceLimitError, match="^tally_rank cap exceeded"):
+            lat.tally_cotypes_at_index(CAPS["tally_rank"] + 1, 1)
+        # pricing stops at the first index past the work cap: the table of 6^40,
+        # past the hermite_table cap, is never reached
+        with pytest.raises(ResourceLimitError, match="^enum_work cap exceeded"):
+            lat.enumeration_size(3, [2**15, 6**40])
         assert time.perf_counter() - start < 5
-        assert lat.enumeration_size(3, range(1, 10)) == sum(dirichlet_coefficients_upto(3, 10))
-        with pytest.raises(ResourceLimitError):
-            lat.enumeration_size(3, range(1, 10), max_matrices=100)
 
     def test_contracted_size_counts_cores(self):
-        # index 4 in Z^3: the cores (4) x3 and (2, 2) x3 with 2 bases each
-        assert lat.enumeration_size(3, [4], contracted=True) == 9
-        assert lat.enumeration_size(3, [4]) == lat.hnf_count(3, 4) == 35
-        # 16^7 bases, but only a few thousand contracted cores
-        assert lat.enumeration_size(8, [16], contracted=True) < 10**5
+        # index 4 in Z^3: the one-row cores (4) x3 at a unit each, and (2, 2) x3
+        # with 2 bases each at 2 units a basis (the closed form)
+        assert lat.enumeration_size(3, [4]) == 3 + 3 * 2 * 2
+        # index 16 in Z^8 has 16^7 bases, but its cores cost 78,744 units
+        assert lat.enumeration_size(8, [16]) == 78744
         counts = lat.tally_cotypes_at_index(8, 16)
         assert sum(counts.values()) == lat.hnf_count(8, 16)
+
+    def test_d1_enumeration_factors_no_index(self):
+        # a table of Z^1 is its index, so that `tally -d 1 -X 299999 --method
+        # enumerate` factors none of its indices and ends in about 2 s
+        lat.hermite_diagonals.cache_clear()
+        with mock.patch.object(lat, "factorize", side_effect=AssertionError):
+            tally = lat.tally_cotypes(1, 3000, method="enumerate")
+        assert tally.counts == lat.tally_cotypes(1, 3000).counts
+
+    def test_work_is_priced_by_the_smith_route(self):
+        # every diagonal of Z^d whose core has k rows, by the cost of one basis:
+        # 1 for k <= 1 (no Smith form), 2 for k = 2, 3 and k^2 past that
+        for d, n in [(1, 12), (3, 24), (4, 16), (6, 32), (8, 16)]:
+            cost = 0
+            for diag in lat.hermite_diagonals(d, n)[0]:
+                core = [a for a in diag if a > 1]
+                k = len(core)
+                bases = math.prod(a ** (k - 1 - i) for i, a in enumerate(core))
+                cost += 1 if k <= 1 else bases * (2 if k <= 3 else k * k)
+            assert lat.enumeration_size(d, [n]) == cost, (d, n)
+
+    @pytest.mark.parametrize("d, X", [(2, 1763), (3, 281), (4, 89), (5, 61), (6, 49)])
+    def test_work_cap_boundary(self, d, X):
+        # priced, not run: the first X each d refuses. The admitted -d 5 -X 60
+        # has 123,893,785 Hermite bases, which the cap on bases refused
+        assert lat.enumeration_size(d, range(1, X - 1)) <= CAPS["enum_work"]
+        with pytest.raises(ResourceLimitError, match="^enum_work cap exceeded"):
+            lat.enumeration_size(d, range(1, X))
+        with pytest.raises(ResourceLimitError, match="^enum_work cap exceeded"):
+            lat.tally_cotypes(d, X, method="enumerate")
 
     def test_diagonal_table(self):
         diags, offsets = lat.hermite_diagonals(3, 4)
@@ -104,18 +139,6 @@ class TestEnumeration:
         # prefix offsets of the basis counts 1, 2, 4, 4, 8, 16
         assert offsets == (0, 1, 3, 7, 11, 19, 35)
         assert lat.hermite_matrix((2, 2, 1), 5) == [[2, 1, 0], [0, 2, 1], [0, 0, 1]]
-
-    def test_negative_cap_is_bad_input(self):
-        with pytest.raises(DomainError):
-            list(lat.enumerate_hnf(2, 4, max_matrices=-1))
-
-    def test_cap_above_the_default_is_bad_input(self):
-        start = time.perf_counter()
-        with pytest.raises(DomainError):
-            lat.tally_cotypes(3, 2000, method="enumerate", max_matrices=10**10)
-        with pytest.raises(DomainError):
-            list(lat.enumerate_hnf(2, 4, max_matrices=CAPS["enum_matrices"] + 1))
-        assert time.perf_counter() - start < 1
 
 
 class TestSmithForm:
@@ -428,21 +451,21 @@ class TestTally:
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
-            lat.tally_cotypes(3, 50, method="enumerate", max_matrices=100)
+            lat.tally_cotypes(3, 520, method="enumerate")
         # just past each of the formula's caps, and at the rank cap
         for d, X in [(CAPS["tally_rank"] + 1, 2), (3, CAPS["tally_size"] // 3 + 1)]:
             with pytest.raises(ResourceLimitError):
                 lat.tally_cotypes(d, X)
         assert lat.tally_cotypes(CAPS["tally_rank"], 3).total == 2 ** CAPS["tally_rank"]
         with pytest.raises(ResourceLimitError):
-            lat.tally_cotypes(1, 10**9, method="enumerate", max_matrices=10**8)
+            lat.tally_cotypes(1, 10**9, method="enumerate")
 
-    def test_bad_method_and_negative_cap(self):
+    def test_bad_method_and_negative_bound(self):
         with pytest.raises(DomainError):
             lat.tally_cotypes(2, 10, method="divisor")
         for method in lat.TALLY_METHODS:
             with pytest.raises(DomainError):
-                lat.tally_cotypes(2, 10, method=method, max_matrices=-1)
+                lat.tally_cotypes(2, -1, method=method)
 
     def test_exports(self, tmp_path):
         # the --out files that cli encodes from the tally's counts
