@@ -395,8 +395,9 @@ def enumeration_size(d: int, indices: Iterable[int]) -> int:
 
 def enumerate_hnf(d: int, n: int) -> Iterator[HermiteBasis]:
     """Yield every index-n sublattice of Z^d exactly once, as a Hermite basis,
-    in the order of hermite_diagonals and then of codes; its hnf_count, a unit
-    a basis, is held to the enum_work cap."""
+    in the order of hermite_diagonals and then of codes; d is held to the
+    tally_rank cap and its hnf_count, a unit a basis, to the enum_work cap."""
+    check_cap("tally_rank", d)
     diags, offsets = hermite_diagonals(d, n)
     check_cap("enum_work", offsets[-1])
     for diag, lo, hi in zip(diags, offsets, offsets[1:]):

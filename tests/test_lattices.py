@@ -74,6 +74,9 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError, match="^enum_work cap exceeded"):
             next(lat.enumerate_hnf(3, 2**10))
         assert lat.hnf_count(3, 2**9) <= CAPS["enum_work"]
+        # one basis of index 1, but a d x d matrix: Z^20000 took 40 s
+        with pytest.raises(ResourceLimitError, match="^tally_rank cap exceeded"):
+            next(lat.enumerate_hnf(CAPS["tally_rank"] + 1, 1))
 
     def test_cap_refuses_before_counting(self):
         # each table is refused on its number of diagonals before it is built
