@@ -50,7 +50,7 @@ CAPS = {
     # descent --d 9` takes 2.9 s.
     "permutation_dim": 9,
     # d of the inclusion-exclusion table, 2^(d-1) polynomials of degree
-    # < d^2/2: d = 14 takes 3.0 s.
+    # < d^2/2: d = 14 takes 0.3-0.4 s as a process.
     "descent_table_dim": 14,
     # Order of the group a brute-force search builds, whose addition table
     # holds order^2 entries: 2^20 at the cap; the cyclic group of order 1024
@@ -79,8 +79,8 @@ CAPS = {
     # holds one to three cotypes of d entries per index below X: `tally -d 64
     # -X 3` takes 0.1 s, `-d 3 -X 100000` 1.6 s and 95 MB, `-d 1 -X 300000` 2.3 s
     # and 119 MB, and 1.4-2.5 s and 109 MB by `--method enumerate`. tally_rank
-    # also bounds every enumeration's d, and d * X the sieve convolution of
-    # dirichlet_coefficients_upto.
+    # also bounds the d of every enumeration and of hnf_count, and d * X the
+    # sieve convolution of dirichlet_coefficients_upto.
     "tally_rank": 64,
     "tally_size": 3 * 10**5,
     # Trial divisors of one factorize, counted as they are tried: refusing an n
@@ -111,7 +111,7 @@ CAPS = {
     # 1.5-1.8 s at k = 10^4.
     "entry_bits": 64,
     # d of local_factor, whose numerator has 2^(d-1) terms: `zeta -d 12
-    # print-local` takes 0.5 s.
+    # print-local` takes 0.25-0.29 s.
     "local_factor_dim": 12,
     # Bits of an exact integer that gets printed, which keeps it under Python's
     # 4,300-digit int-to-str limit: local_coefficient's value (and nu_1, the

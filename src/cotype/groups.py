@@ -15,6 +15,7 @@ copy of H, and `count_generating_tuples(..., "brute")` searches (Z/p^a)^d.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,12 +58,12 @@ class Partition:
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
     """Conjugate partition: entry i counts the parts >= i. Involutive."""
-    ps = [a for a in parts if a]
+    ps = sorted(a for a in parts if a)
     if any(a < 0 for a in ps):
         raise DomainError("parts must be nonnegative")
-    if not ps:
-        return ()
-    return tuple(sum(1 for a in ps if a >= i) for i in range(1, max(ps) + 1))
+    # entries b + 1..a count the parts from ps[k] = a on, with b = ps[k - 1] or 0
+    return tuple(itertools.chain.from_iterable(
+        itertools.repeat(len(ps) - k, a - b) for k, (a, b) in enumerate(zip(ps, [0] + ps))))
 
 
 def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = None
@@ -79,7 +80,8 @@ def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = N
             return
         if slots == 0:
             return
-        for a in range(min(largest, remaining), 0, -1):
+        # a part below remaining / slots would leave too much for the rest
+        for a in range(min(largest, remaining), -(-remaining // slots) - 1, -1):
             for rest in rec(remaining - a, a, slots - 1):
                 yield (a,) + rest
 
@@ -124,16 +126,17 @@ def ambient_subgroup_count(d: int, lam: Partition | Iterable[int], p: int) -> in
     """Number of subgroups of (Z/p^(lam_1))^d isomorphic to the group of type lam.
 
     Evaluated as prod_{i>=1} p^(c_{i+1} (d - c_i)) * [d - c_{i+1} choose
-    c_i - c_{i+1}]_p where c is the conjugate partition of lam.
+    c_i - c_{i+1}]_p where c is the conjugate partition of lam. c is constant
+    between distinct parts, and such a run of factors p^(c (d - c)) is one power.
     """
     parts = lam.parts if isinstance(lam, Partition) else Partition.of(lam).parts
     if len(parts) > d:
         return 0
-    conj = conjugate(parts) + (0,)
-    out = 1
-    for i in range(len(conj) - 1):
-        ci, ci1 = conj[i], conj[i + 1]
-        out *= p ** (ci1 * (d - ci)) * q_binomial(d - ci1, ci - ci1)(p)
+    out, c, prev = 1, len(parts), 0
+    for v, same in itertools.groupby(reversed(parts)):
+        c1 = c - sum(1 for _ in same)
+        out *= p ** ((d - c) * ((v - prev - 1) * c + c1)) * q_binomial(d - c1, c - c1)(p)
+        c, prev = c1, v
     return out
 
 

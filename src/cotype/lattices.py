@@ -369,6 +369,7 @@ def hermite_matrix(diag: tuple[int, ...], code: int) -> list[list[int]]:
 
 def hnf_count(d: int, n: int) -> int:
     """Number of index-n sublattices of Z^d: the last offset of its Hermite table."""
+    check_cap("tally_rank", d)
     return hermite_diagonals(d, n)[1][-1]
 
 

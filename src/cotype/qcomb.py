@@ -4,20 +4,26 @@ Everything is symbolic with arbitrary-precision integer coefficients: q-integers
 q-factorials, Gaussian binomials, q-multinomials, the subset binomial attached to a
 descent set, and the descent polynomials w(d, lambda) computed by three independent
 methods (inclusion-exclusion, permutation enumeration, fraction-free determinant).
+The inclusion-exclusion table is computed at q = 2^64, one integer a polynomial:
+each coefficient is below 2^(d-1) d! < 2^63 up to d = 16.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import gt
 from typing import Iterable, Iterator
 
 from .errors import DomainError, check_cap
 
 # Depth B at which every infinite product prod_j (1 - p^-j) is cut.
 _POCHHAMMER_DEPTH = 64
+_PACK_BITS = 64  # bits a coefficient in _descent_polys_from_subsets, a "q" word
 
 
 class IntPolynomial:
@@ -237,14 +243,9 @@ def q_multinomial(parts: Iterable[int]) -> IntPolynomial:
     """q-multinomial of (m1,...,mk): [m1+...+mk]_q! / ([m1]_q! ... [mk]_q!).
 
     Evaluated by the telescoping product of Gaussian binomials, so no division is
-    performed, and memoized on the tuple of parts. Zero parts are allowed and
-    contribute nothing.
+    performed. Zero parts are allowed and contribute nothing.
     """
-    return _q_multinomial(tuple(parts))
-
-
-@lru_cache(maxsize=None)
-def _q_multinomial(ms: tuple[int, ...]) -> IntPolynomial:
+    ms = tuple(parts)
     if not ms:
         raise DomainError("q_multinomial requires at least one part")
     if any(m < 0 for m in ms):
@@ -332,10 +333,14 @@ def descents(pi: Permutation) -> DescentSet:
     return DescentSet.of(pi.d, (i for i in range(1, pi.d) if im[i - 1] > im[i]))
 
 
+def _inversion_count(images: tuple[int, ...]) -> int:
+    """Number of pairs i < j with images[i] > images[j]."""
+    return sum(itertools.starmap(gt, itertools.combinations(images, 2)))
+
+
 def inversions(pi: Permutation) -> int:
     """Number of pairs i < j with pi(i) > pi(j)."""
-    im = pi.images
-    return sum(1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j])
+    return _inversion_count(pi.images)
 
 
 # ---------------------------------------------------------------------------
@@ -354,37 +359,38 @@ def descent_poly_inclusion_exclusion(lam: DescentSet) -> IntPolynomial:
 def _descent_polys_from_subsets(d: int) -> dict[frozenset, IntPolynomial]:
     """Map from descent set (as frozenset) to w(d, lambda): the subset binomial
     of every subset of {1,...,d-1} (bit i-1 of a mask marks i), Moebius-inverted
-    in place one element at a time, (d-1) 2^(d-2) subtractions in all."""
-    n = d - 1
-    subsets = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
-    width = d * (d - 1) // 2 + 1  # the subset binomials have degree < width
-    table = []
-    for mu in subsets:
-        coeffs = subset_gap_multinomial(d, mu).coeffs
-        table.append(list(coeffs) + [0] * (width - len(coeffs)))
+    in place one element at a time, (d-1) 2^(d-2) subtractions in all, each
+    polynomial held as its value at q = 2^B, B = _PACK_BITS. The subset binomials
+    in k of the sets with top element j are those in j times [k choose j]_q. An
+    entry, at any step, is a signed sum of distinct subset binomials, each with
+    nonnegative coefficients summing to at most d!; so |coefficient| <= 2^(d-1) d!
+    < 2^(B-1) for d <= 16 (descent_table_dim is 14): each B-bit word holds one."""
+    x = 1 << _PACK_BITS
+    tables = [[1]]  # tables[k - 1]: the subset binomials in k
+    for k in range(2, d + 1):
+        binoms = [q_binomial(k, j)(x) for j in range(1, k)]
+        tables.append([1] + [b * v for b, table in zip(binoms, tables) for v in table])
+    table, n = tables[-1], d - 1
     for i in range(n):
-        bit = 1 << i
         for mask in range(1 << n):
-            if mask & bit:
-                table[mask] = [a - b for a, b in zip(table[mask], table[mask ^ bit])]
-    return {frozenset(mu): IntPolynomial(c) for mu, c in zip(subsets, table)}
+            if mask >> i & 1:
+                table[mask] -= table[mask ^ 1 << i]
+    keys = [frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    # Add 2^(B-1) to each word and flip its top bit back: it reads as signed.
+    width = d * (d - 1) // 2 + 1  # the subset binomials have degree < width
+    bias = (x**width - 1) // (x - 1) << (_PACK_BITS - 1)
+    order = 1 if sys.byteorder == "little" else -1  # of the words in to_bytes
+    return {key: IntPolynomial(memoryview(((v + bias) ^ bias).to_bytes(
+        8 * width, sys.byteorder)).cast("q")[::order]) for key, v in zip(keys, table)}
 
 
 @lru_cache(maxsize=None)
 def _descent_polys_from_permutations(d: int) -> dict[frozenset, IntPolynomial]:
     """Map from descent set (as frozenset) to the inversion generating function."""
-    acc: dict[frozenset, list[int]] = {}
-    maxinv = d * (d - 1) // 2
+    acc: dict[frozenset, list[int]] = defaultdict(lambda: [0] * (d * (d - 1) // 2 + 1))
     for images in itertools.permutations(range(1, d + 1)):
         desc = frozenset(i for i in range(1, d) if images[i - 1] > images[i])
-        inv = sum(
-            1 for i in range(d) for j in range(i + 1, d) if images[i] > images[j]
-        )
-        coeffs = acc.get(desc)
-        if coeffs is None:
-            coeffs = [0] * (maxinv + 1)
-            acc[desc] = coeffs
-        coeffs[inv] += 1
+        acc[desc][_inversion_count(images)] += 1
     return {desc: IntPolynomial(coeffs) for desc, coeffs in acc.items()}
 
 

@@ -295,6 +295,8 @@ LIBRARY_OVER_CAP = [
     # a 61-bit times a 59-bit prime: trial division stops at 2^20
     ("trial_divisors", lambda: primes.factorize((2**61 - 1) * (2**59 - 55)), 1),
     ("cocyclic_dim", lambda: zeta.cocyclic_growth_constant(CAPS["cocyclic_dim"] + 1, 1000), 1),
+    # the Hermite table of index 1 takes O(d^2) to build: 0.64 s at d = 20,000
+    ("tally_rank", lambda: lattices.hnf_count(CAPS["tally_rank"] + 1, 1), 1),
 ]
 AT_CAP = [
     ("type_labels",

@@ -1,6 +1,8 @@
 """Exact tests for the q-polynomial layer and descent polynomials."""
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -174,21 +176,51 @@ class TestDescentPolynomials:
         got = qc.descent_poly_determinant(qc.DescentSet.of(3, [1]))
         assert got.coeffs == (0, 1, 1)
 
-    def test_three_way_agreement_through_d6(self):
-        for d in range(1, 7):
+    def test_three_way_agreement_through_d8(self):
+        for d in range(1, 9):
             for lam in qc.all_descent_sets(d):
                 a = qc.descent_poly_inclusion_exclusion(lam)
                 b = qc.descent_poly_permutations(lam)
                 c = qc.descent_poly_determinant(lam)
                 assert a == b == c, (d, lam.elements)
 
-    def test_nonnegative_and_low_exponent(self):
-        for d in range(1, 7):
+    def test_mahonian_sum_nonnegative_and_low_exponent_to_the_cap(self):
+        # sum over lambda of w(d, lambda) is the inversion generating function
+        # of all d! permutations, [d]_q!
+        for d in range(1, CAPS["descent_table_dim"] + 1):
+            total = qc.ZERO
             for lam in qc.all_descent_sets(d):
                 w = qc.descent_poly_inclusion_exclusion(lam)
                 assert all(c >= 0 for c in w.coeffs), (d, lam.elements)
-                if lam.elements:
-                    assert w.low_exponent() >= len(lam.elements)
+                assert w.low_exponent() >= len(lam.elements), (d, lam.elements)
+                total = total + w
+            assert total == qc.q_factorial(d), d
+
+    def test_packed_digits_hold_every_coefficient_of_the_inversion(self):
+        # Redo the table's Moebius inversion at the cap on coefficient lists,
+        # from the subset binomials (nonnegative, so read as unsigned words at
+        # q = 2^64), and find the widest coefficient at any step.
+        d = CAPS["descent_table_dim"]
+        width = d * (d - 1) // 2 + 1
+        half = 2 ** (qc._PACK_BITS - 1)
+        assert 2 ** (d - 1) * math.factorial(d) < half  # the bound the code states
+        x = 2**64
+        tables = [[1]]
+        for k in range(2, d + 1):
+            tables.append([1] + [qc.q_binomial(k, j)(x) * v
+                                 for j in range(1, k) for v in tables[j - 1]])
+        rows = [list(memoryview(v.to_bytes(8 * width, "little")).cast("Q"))
+                for v in tables[-1]]
+        mask = 2 ** (d - 2) + 5  # bit i - 1 marks i
+        assert qc.IntPolynomial(rows[mask]) == qc.subset_gap_multinomial(d, [1, 3, d - 1])
+        widest = 0
+        for i in range(d - 1):
+            bit = 1 << i
+            for mask in range(1 << (d - 1)):
+                if mask & bit:
+                    rows[mask] = row = list(map(operator.sub, rows[mask], rows[mask ^ bit]))
+                    widest = max(widest, max(row), -min(row))
+        assert widest == 1_868_939_026 < half
 
     def test_partition_of_symmetric_group(self):
         import math
