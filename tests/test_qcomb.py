@@ -198,19 +198,18 @@ class TestDescentPolynomials:
 
     def test_packed_digits_hold_every_coefficient_of_the_inversion(self):
         # Redo the table's Moebius inversion at the cap on coefficient lists,
-        # from the subset binomials (nonnegative, so read as unsigned words at
-        # q = 2^64), and find the widest coefficient at any step.
+        # from the subset binomials (nonnegative, so read as 16 hex digits
+        # each at q = 2^64), and find the widest coefficient at any step.
         d = CAPS["descent_table_dim"]
         width = d * (d - 1) // 2 + 1
         half = 2 ** (qc._PACK_BITS - 1)
         assert 2 ** (d - 1) * math.factorial(d) < half  # the bound the code states
-        x = 2**64
         tables = [[1]]
         for k in range(2, d + 1):
-            tables.append([1] + [qc.q_binomial(k, j)(x) * v
-                                 for j in range(1, k) for v in tables[j - 1]])
-        rows = [list(memoryview(v.to_bytes(8 * width, "little")).cast("Q"))
-                for v in tables[-1]]
+            binoms = [qc.q_binomial(k, j)(2**64) for j in range(1, k)]
+            tables.append([1] + [b * v for b, t in zip(binoms, tables) for v in t])
+        hexes = [format(v, f"0{16 * width}x") for v in tables[-1]]
+        rows = [[int(h[t - 16:t], 16) for t in range(len(h), 0, -16)] for h in hexes]
         mask = 2 ** (d - 2) + 5  # bit i - 1 marks i
         assert qc.IntPolynomial(rows[mask]) == qc.subset_gap_multinomial(d, [1, 3, d - 1])
         widest = 0
